@@ -151,32 +151,127 @@ def test_mark_capacity_and_io_errors(tmp_path):
     assert main(["--db-dir", str(db), "bogus-command"]) == 1
 
 
+# SHA-256 of every file the workspace below holds after its commands ran.
+GOLDEN_SHA256 = {
+    "db/chip1.chip.json":
+        "00e06369928d5afde85bad9a94680a165b50898e24c8d149932c5fa3c1ef5f2e",
+    "db/chip1.enroll.json":
+        "1c092b7c52321ce7bf483270b9fbdc8ea0de41e79f8807a7a9d6ffe199506e02",
+    "db/chip2.chip.json":
+        "2194b8642a24ed620e66e7e1f60650f3246e5330481a20c8359c8f9d8f51506a",
+    "db/chip2.enroll.json":
+        "f988fd1243d34d680aef18ad40a2654863a81b7caec112f0e6bf6515fd354e35",
+    "db/chip3.chip.json":
+        "a109ae198f91df47f9d07511d18de4d7a1574bd1089b621c3b09f1e6ca3754d7",
+    "db/chip3.enroll.json":
+        "5017a1200e48fb21bbcfe53fe7303bf5144c58f7452ccd7607eb1e3b0520af84",
+    "exp/robustness.csv":
+        "ea7cb479be9d172d6b8a330604e27ea9322ec7e4e60c96b3f27e83f5d6018710",
+    "exp/scene0.edited.pgm":
+        "fa36bab4cfc55f13281294544903531b02168dd0cec0c6112d0d11c554bb2941",
+    "exp/scene0.wmdiff.pgm":
+        "217628d149ec816cf6d838f75b0fb0edb9d9f00b18b1a371b5bf9c346e5a7581",
+    "exp/source_id.csv":
+        "dc021edbdb17160f043c8cd88d1d35f7c119b35faede1d0ea807738af8c03463",
+    "exp/tamper.csv":
+        "3a002e7adfe64408f5cffc5707fd6a7bdb081105fccb92a505ffb54f389b3c53",
+    "exp/wm_chip1_scene0.pgm":
+        "8f1f6991252a4bfc9923146010e95921bdc26ed5cb25317638374e947d4685da",
+    "exp/wm_chip1_scene1.pgm":
+        "a9a7c39922043ee6ec2507de614bf7878f0de2e7e2127e16620d540f9b0b38c5",
+    "exp/wm_chip1_scene2.pgm":
+        "c1afd4c3010af0cbf1773efcdd89ba72769ecfaa3fa765f27bb04bd48d95209e",
+    "exp/wm_chip2_scene0.pgm":
+        "bb979d0d0cc2fa2a9db568805ce694b5afdf421620284824dc1d37709de95c78",
+    "exp/wm_chip2_scene1.pgm":
+        "cde3d9d4558bf79e11332dbebdefa765919951a363837509355b2859abcfbe35",
+    "exp/wm_chip2_scene2.pgm":
+        "1af7ac0076bdb6ccca2b4129ba7acf67df219d6df98a10eb7d994660d70a3503",
+    "exp/wm_chip3_scene0.pgm":
+        "9eb7f3f3cd33ca3e4413d7a0a38e30d890a1ead08de36603d03ed917b3a9ee51",
+    "exp/wm_chip3_scene1.pgm":
+        "a38b7f75d006b9d3a80f15ee56d00577b4c2bb2907b29b5d5097108913f5dcd2",
+    "exp/wm_chip3_scene2.pgm":
+        "710de88ee574b0d75e081570fc4eb4604e44b114f008406e32e4203ff2e8f383",
+    "out/doctored.pgm":
+        "592c7d3e4efa141606d43713a5d8c9c2a52e3b5e37907725dbdc72f33507b565",
+    "out/doctored.tamper.pgm":
+        "3cc0714d4006958b532efb2f39be9e95fb3de8c7bd94d368c2e88be70969bf92",
+    "out/doctored.verify.csv":
+        "8945705239b15647b26d3d244a572522d9a3385d8325d937412c7b70da185111",
+    "out/scene0.marked.pgm":
+        "20b59cbe51fdef4737b8b58f91a1d7eec3a48e4c77ff96916af50f26fab65c37",
+    "out/scene0.marked.tamper.pgm":
+        "3db2fca03e6a810872bd3b10250e830fadbf388db957b79ee41ae59f003392a9",
+    "out/scene0.marked.verify.csv":
+        "f2e84a0bdcb0c55bef176ae6beea257ac484d25a44bd453c2c438d55d04165dc",
+    "out/scene0.wm.txt":
+        "0b2ff03e84b53bdc3358b5ffb0c96602eecdd881e4792f483d6a10cd8279adf7",
+    "out6/scene0.marked.pgm":
+        "ba27b37f785972e40a56c947f085de4f42b92d784ebb8f1173792c5a1c638ea9",
+    "out6/scene0.marked.tamper.pgm":
+        "3db2fca03e6a810872bd3b10250e830fadbf388db957b79ee41ae59f003392a9",
+    "out6/scene0.marked.verify.csv":
+        "cacda951587ec4475e4a35a80471e53749ad6f77826cc2b0d30fd3dfe626c8d6",
+    "out6/scene0.wm.txt":
+        "adc0b7d90ec286fb7e398b292837a517360cd0b39c0f0267db6edc981947e6de",
+    "scene0.pgm":
+        "5b8cf6b0af62296e0dd12566cc78ef068735025b9fa032183fb3c055549fefc8",
+    "scene1.pgm":
+        "de11cb8f5beb5bb6b356de3ce1a2a08b5c7a08899cd8d79611b4ea104502dad7",
+    "scene2.pgm":
+        "e0010f74097a360e579a94d2997c94cd4bbac4decdc312f13628e602bee67b37",
+}
+
+
 def test_commands_are_byte_deterministic(tmp_path):
-    img = make_image(0)
-    digests = []
-    for run in ("a", "b"):
-        base = tmp_path / run
-        db = base / "db"
-        out = base / "out"
-        img_path = base / "scene.pgm"
-        base.mkdir()
-        write_pgm(img, img_path)
-        for seed in (1, 2, 3):
-            assert main(["--db-dir", str(db), "chip", "new", f"chip{seed}",
-                         "--seed", str(seed)]) == 0
-            assert main(["--db-dir", str(db), "chip", "enroll", f"chip{seed}",
-                         "--seed", str(100 + seed)]) == 0
-        assert main(["--db-dir", str(db), "mark", str(img_path), "--chip", "chip1",
-                     "--out-dir", str(out)]) == 0
-        assert main(["--db-dir", str(db), "verify", str(out / "scene.marked.pgm"),
-                     "--out-dir", str(out)]) == 0
-        assert main(["--db-dir", str(db), "experiment", "robustness",
-                     "--chip", "chip1", "--image", str(img_path),
-                     "--sigmas", "6,18", "--overlaps", "0,6",
-                     "--noise-seeds", "101,102", "--out-dir", str(out)]) == 0
-        files = sorted(p.relative_to(base) for p in base.rglob("*") if p.is_file())
-        digests.append([(str(p), _digest(base / p)) for p in files])
-    assert digests[0] == digests[1]
+    db = tmp_path / "db"
+    out = tmp_path / "out"
+    out6 = tmp_path / "out6"
+    exp = tmp_path / "exp"
+    images = []
+    for i in range(3):
+        images.append(tmp_path / f"scene{i}.pgm")
+        write_pgm(make_image(i), images[-1])
+    scene = str(images[0])
+    commands = []
+    for seed in (1, 2, 3):
+        commands += [
+            (["chip", "new", f"chip{seed}", "--seed", str(seed)], 0),
+            (["chip", "enroll", f"chip{seed}", "--seed", str(100 + seed)], 0),
+        ]
+    commands += [
+        (["mark", scene, "--chip", "chip1", "--out-dir", str(out)], 0),
+        (["verify", str(out / "scene0.marked.pgm"), "--out-dir", str(out)], 0),
+        (["mark", scene, "--chip", "chip2", "--overlap", "6", "--out-dir", str(out6)], 0),
+        (["verify", str(out6 / "scene0.marked.pgm"), "--overlap", "6",
+          "--out-dir", str(out6)], 0),
+    ]
+    for argv, code in commands:
+        assert main(["--db-dir", str(db), *argv]) == code, argv
+
+    marked = read_pgm(out / "scene0.marked.pgm")
+    patch = marked[300:330, 100:130].astype(np.int32)
+    marked[300:330, 100:130] = np.clip(patch + 40, 0, 255).astype(np.uint8)
+    write_pgm(marked, out / "doctored.pgm")
+    commands = [
+        (["verify", str(out / "doctored.pgm"), "--out-dir", str(out)], 2),
+        (["experiment", "robustness", "--chip", "chip1", "--image", scene,
+          "--sigmas", "6,18", "--overlaps", "0,6", "--noise-seeds", "101,102",
+          "--out-dir", str(exp)], 0),
+        (["experiment", "tamper", "--chip", "chip1", "--images", scene,
+          "--patch-size", "32", "--out-dir", str(exp)], 0),
+        (["experiment", "source-id", "--images", *map(str, images),
+          "--out-dir", str(exp)], 0),
+    ]
+    for argv, code in commands:
+        assert main(["--db-dir", str(db), *argv]) == code, argv
+
+    digests = {str(p.relative_to(tmp_path)): _digest(p)
+               for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert sorted(digests) == sorted(GOLDEN_SHA256)
+    for name, digest in GOLDEN_SHA256.items():
+        assert digests[name] == digest, name
 
 
 def test_experiment_source_id(tmp_path):
