@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,26 +41,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass(frozen=True)
-class WorkspaceConfig:
-    """Resolved per-invocation settings: record directory plus the feature,
-    layout and acquisition defaults every command shares."""
-
-    db_dir: Path
-    features: FeatureConfig = field(default_factory=FeatureConfig)
-    layout: WatermarkLayout = field(default_factory=WatermarkLayout)
-    acquisition: AcquisitionConfig = field(default_factory=AcquisitionConfig)
-    rng_seed: int = 0
-
-
-def _workspace(args, grid_dim: int | None = None, puf_dim: int = 64) -> WorkspaceConfig:
-    overlap = getattr(args, "overlap", 0.0)
-    features = FeatureConfig(mode="double" if overlap > 0 else "single",
-                             overlap=overlap)
-    layout = WatermarkLayout(grid_dim=grid_dim or getattr(args, "grid_dim", 64),
-                             puf_dim=puf_dim)
-    return WorkspaceConfig(db_dir=Path(args.db_dir), features=features,
-                           layout=layout, rng_seed=getattr(args, "seed", 0))
+def _features(args) -> FeatureConfig:
+    return FeatureConfig(mode="double" if args.overlap > 0 else "single",
+                         overlap=args.overlap)
 
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:
@@ -112,10 +94,10 @@ def cmd_chip_enroll(args) -> int:
 
 def cmd_mark(args) -> int:
     record = load_enrollment(enrollment_path(args.db_dir, args.chip))
-    ws = _workspace(args, puf_dim=record.fingerprint.bits.shape[0])
+    features = _features(args)
+    layout = WatermarkLayout(grid_dim=args.grid_dim, puf_dim=record.fingerprint.bits.shape[0])
     img = read_pgm(args.image)
-    wm = generate_watermark(img, record, ws.features, ws.layout,
-                            response_map=args.response_map)
+    wm = generate_watermark(img, record, features, layout, response_map=args.response_map)
     marked = embed_lsb(img, wm)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.image).parent
     stem = Path(args.image).stem
@@ -128,15 +110,15 @@ def cmd_mark(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ws = _workspace(args, puf_dim=args.puf_dim)
-    db = load_enrollment_db(ws.db_dir)
+    features = _features(args)
+    layout = WatermarkLayout(grid_dim=args.grid_dim, puf_dim=args.puf_dim)
+    db = load_enrollment_db(args.db_dir)
     img = read_pgm(args.image)
     thresholds = Thresholds(tau_fingerprint=args.tau_fingerprint,
                             tau_challenge=args.tau_challenge,
                             tau_response=args.tau_response)
-    report = verify(img, db, ws.features, ws.layout, thresholds,
+    report = verify(img, db, features, layout, thresholds,
                     response_map=args.response_map)
-    layout = ws.layout
 
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.image).parent
     stem = Path(args.image).stem
@@ -166,8 +148,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment_source_id(args) -> int:
-    ws = _workspace(args)
-    db = load_enrollment_db(ws.db_dir)
+    features = _features(args)
+    db = load_enrollment_db(args.db_dir)
     if len(db) < 3:
         raise CliError(f"source-id experiment needs >= 3 enrolled chips, found {len(db)}")
     if len(args.images) < 3:
@@ -179,9 +161,9 @@ def cmd_experiment_source_id(args) -> int:
         img = read_pgm(image_path)
         stem = Path(image_path).stem
         for record in db:
-            layout = WatermarkLayout(grid_dim=ws.layout.grid_dim,
+            layout = WatermarkLayout(grid_dim=args.grid_dim,
                                      puf_dim=record.fingerprint.bits.shape[0])
-            wm = generate_watermark(img, record, ws.features, layout)
+            wm = generate_watermark(img, record, features, layout)
             marks[(stem, record.chip_id)] = wm
             write_pgm(watermark_bitmap(wm), out_dir / f"wm_{record.chip_id}_{stem}.pgm")
 
@@ -216,14 +198,14 @@ def cmd_experiment_source_id(args) -> int:
 
 def cmd_experiment_tamper(args) -> int:
     record = load_enrollment(enrollment_path(args.db_dir, args.chip))
-    ws = _workspace(args, puf_dim=record.fingerprint.bits.shape[0])
+    features = _features(args)
+    layout = WatermarkLayout(grid_dim=args.grid_dim, puf_dim=record.fingerprint.bits.shape[0])
     out_dir = Path(args.out_dir)
     rows = []
     for image_path in args.images:
         img = read_pgm(image_path)
         stem = Path(image_path).stem
-        layout = ws.layout
-        reference = generate_watermark(img, record, ws.features, layout)
+        reference = generate_watermark(img, record, features, layout)
 
         row = args.patch_row if args.patch_row is not None else img.shape[0] // 2
         col = args.patch_col if args.patch_col is not None else img.shape[1] // 2
@@ -233,7 +215,7 @@ def cmd_experiment_tamper(args) -> int:
         edited[row:row + size, col:col + size] = np.clip(
             patch + args.delta, 0, 255).astype(np.uint8)
 
-        probe = generate_watermark(edited, record, ws.features, layout)
+        probe = generate_watermark(edited, record, features, layout)
         img_change = float(np.mean(edited != img))
         wm_change = hamming_frac(reference.bits, probe.bits)
         s = sensitivity(img_change, wm_change)

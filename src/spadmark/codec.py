@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import ChallengeMatrix, _check_gray
+from .features import ChallengeMatrix, _check_gray, addr_bytes
 from .puf import Fingerprint, ResponsePair, bits_to_hex, hex_to_bits
 
 
@@ -77,31 +77,28 @@ class Watermark:
     bits: np.ndarray            # 1-D uint8 {0,1}, length layout.total_bits
     layout: WatermarkLayout = field(default_factory=WatermarkLayout)
     chip_id: str = ""
-    image_digest: str = ""
 
 
 def assemble(challenge: ChallengeMatrix, response: ResponsePair,
              fp: Fingerprint, layout: WatermarkLayout | None = None,
-             chip_id: str = "", image_digest: str = "") -> Watermark:
+             chip_id: str = "") -> Watermark:
     """Serialize challenge, responses and fingerprint per the fixed layout."""
     layout = layout or WatermarkLayout()
     d, p = layout.grid_dim, layout.puf_dim
-    addrs = np.asarray(challenge.addrs, dtype=np.uint8)
-    if addrs.shape != (d, d, 2):
-        raise ValueError(f"challenge shape {addrs.shape} does not match grid_dim {d}")
+    if np.shape(challenge.addrs) != (d, d, 2):
+        raise ValueError(
+            f"challenge shape {np.shape(challenge.addrs)} does not match grid_dim {d}")
     if response.r_h.shape != (d, d) or response.r_v.shape != (d, d):
         raise ValueError("response shape does not match grid_dim")
     if fp.bits.shape != (p, p):
         raise ValueError(f"fingerprint shape {fp.bits.shape} does not match puf_dim {p}")
-    addr_bytes = (addrs[..., 0] << 4) | addrs[..., 1]
     bits = np.concatenate([
-        np.unpackbits(addr_bytes.reshape(-1)),
+        np.unpackbits(addr_bytes(challenge).reshape(-1)),
         response.r_h.ravel().astype(np.uint8),
         response.r_v.ravel().astype(np.uint8),
         fp.bits.ravel().astype(np.uint8),
     ])
-    return Watermark(bits=bits, layout=layout, chip_id=chip_id or fp.chip_id,
-                     image_digest=image_digest)
+    return Watermark(bits=bits, layout=layout, chip_id=chip_id or fp.chip_id)
 
 
 def disassemble(wm: Watermark) -> tuple[ChallengeMatrix, ResponsePair, Fingerprint]:
@@ -236,6 +233,8 @@ def load_watermark(path: str | Path) -> Watermark:
     if not lines or not lines[0].startswith("wm v1 "):
         raise ValueError(f"{path}: not a v1 watermark sidecar")
     fields = dict(part.split("=", 1) for part in lines[0].split()[2:])
+    if not {"D", "P", "L"} <= fields.keys():
+        raise ValueError(f"{path}: header needs D=, P= and L=, got {lines[0]!r}")
     layout = WatermarkLayout(grid_dim=int(fields["D"]), puf_dim=int(fields["P"]),
                              planes=int(fields["L"]))
     if len(lines) < 2:

@@ -1,7 +1,17 @@
 """Intensity-band feature planes and challenge-address construction.
 
-An 8-bit image is quantized into L binary planes, one per intensity band of
-width 256/L. Plane i is computed with a nested signum expression
+Every challenge is built in one sequence: clear the host's LSB plane at
+full resolution, block-average to the challenge grid (``downsample``, called
+by ``verifier.challenge_grid``), clear the grid's LSB and quantize each cell
+into L binary band planes (``feature_images``), then pack planes 1-4 into a
+row and planes 5-8 into a column address (``challenge_matrix``), one byte
+per cell (``addr_bytes``).
+
+The second LSB clear, on the grid, is not redundant: a block mean can be
+odd, and clearing the LSB of a mean one above a band edge (33, 65, ...)
+moves that cell into the lower band. Serialized watermarks depend on it.
+
+Plane i is computed with a nested signum expression
 
     plane_i = sign(sign(256/L * i - I) + 1) - sign(sum of planes 1..i-1)
 
@@ -10,10 +20,6 @@ using sign(0) = 0, which makes each band upper-inclusive: plane 1 covers
 mode a pixel within overlap/2 of an internal band boundary is additionally
 marked in the neighboring plane, trading edit sensitivity for noise
 immunity the way a Schmitt trigger does.
-
-The first four planes form a 4-bit row address and the last four a 4-bit
-column address per pixel of the (downsampled) image; those addresses are
-what gets asked of the device's relative dark count maps.
 """
 
 from __future__ import annotations
@@ -113,8 +119,7 @@ def downsample(img: np.ndarray, grid_dim: int) -> np.ndarray:
         raise ValueError(
             f"image {h}x{w} not divisible into a {grid_dim}x{grid_dim} grid")
     bh, bw = h // grid_dim, w // grid_dim
-    blocks = pixels.astype(np.int64).reshape(grid_dim, bh, grid_dim, bw)
-    sums = blocks.sum(axis=(1, 3))
+    sums = pixels.reshape(grid_dim, bh, grid_dim, bw).sum(axis=(1, 3), dtype=np.int64)
     return (sums // (bh * bw)).astype(np.uint8)
 
 
@@ -134,3 +139,10 @@ def challenge_matrix(stack: FeatureStack) -> ChallengeMatrix:
     col_addr = (planes[4:8] * weights).sum(axis=0, dtype=np.uint8)
     return ChallengeMatrix(addrs=np.stack([row_addr, col_addr], axis=-1),
                            grid_dim=planes.shape[1])
+
+
+def addr_bytes(challenge: ChallengeMatrix) -> np.ndarray:
+    """One byte per grid cell: row address in the high nibble, column
+    address in the low nibble. This is the watermark's challenge block."""
+    addrs = np.asarray(challenge.addrs, dtype=np.uint8)
+    return (addrs[..., 0] << 4) | addrs[..., 1]

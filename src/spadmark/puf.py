@@ -178,17 +178,28 @@ def save_enrollment(record: EnrollmentRecord, db_dir: str | Path) -> Path:
 
 
 def load_enrollment(path: str | Path) -> EnrollmentRecord:
+    """Parse one record; a missing or malformed field raises ValueError
+    naming the file and the field."""
     payload = json.loads(Path(path).read_text())
-    dim = int(payload["array_dim"])
-    chip_id = payload["chip_id"]
-    shape = (dim, dim)
-    h = RelativeDCM(bits=hex_to_bits(payload["rdcm_h"], dim * dim).reshape(shape),
-                    direction=HORIZONTAL, chip_id=chip_id)
-    v = RelativeDCM(bits=hex_to_bits(payload["rdcm_v"], dim * dim).reshape(shape),
-                    direction=VERTICAL, chip_id=chip_id)
-    f = Fingerprint(bits=hex_to_bits(payload["fingerprint"], dim * dim).reshape(shape),
-                    chip_id=chip_id)
-    cfg = AcquisitionConfig(**payload["acquisition"])
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+
+    def field(key, parse):
+        if key not in payload:
+            raise ValueError(f"{path}: missing field {key!r}")
+        try:
+            return parse(payload[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: field {key!r}: {exc}") from exc
+
+    dim = field("array_dim", int)
+    chip_id = field("chip_id", str)
+    bits = {key: field(key, lambda text: hex_to_bits(text, dim * dim).reshape(dim, dim))
+            for key in ("rdcm_h", "rdcm_v", "fingerprint")}
+    h = RelativeDCM(bits=bits["rdcm_h"], direction=HORIZONTAL, chip_id=chip_id)
+    v = RelativeDCM(bits=bits["rdcm_v"], direction=VERTICAL, chip_id=chip_id)
+    f = Fingerprint(bits=bits["fingerprint"], chip_id=chip_id)
+    cfg = field("acquisition", lambda acquisition: AcquisitionConfig(**acquisition))
     return EnrollmentRecord(chip_id=chip_id, rdcm_h=h, rdcm_v=v,
                             fingerprint=f, enrollment_cfg=cfg)
 

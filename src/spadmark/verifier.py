@@ -9,19 +9,21 @@ challenge and the embedded responses against what the enrolled maps say the
 recomputed challenge should produce. Content edits show up as challenge
 mismatches with per-cell localization; transplanted or forged payloads show
 up as response mismatches.
+
+Marking, verification and the robustness sweep build every challenge the
+same way: ``challenge_grid``, then ``image_challenge`` (see ``features``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .codec import Watermark, WatermarkLayout, assemble, disassemble, extract_lsb
-from .features import (ChallengeMatrix, FeatureConfig, challenge_matrix,
-                       downsample, feature_images, _check_gray)
+from .features import (ChallengeMatrix, FeatureConfig, addr_bytes,
+                       challenge_matrix, downsample, feature_images, _check_gray)
 from .puf import EnrollmentRecord, Fingerprint, puf_query
 
 AUTHENTIC = "authentic"
@@ -69,8 +71,8 @@ def hamming_frac(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(a != b))
 
 
-def image_challenge(img: np.ndarray, cfg: FeatureConfig, grid_dim: int) -> ChallengeMatrix:
-    """Challenge addresses for an image: mask LSBs, downsample, quantize.
+def challenge_grid(img: np.ndarray, cfg: FeatureConfig, grid_dim: int) -> np.ndarray:
+    """Block-mean grid of an image with its LSB plane cleared first.
 
     The LSB plane is cleared at full resolution, before the block mean;
     otherwise payload bits would leak into the means and the recomputed
@@ -80,8 +82,12 @@ def image_challenge(img: np.ndarray, cfg: FeatureConfig, grid_dim: int) -> Chall
     pixels = _check_gray(img)
     if cfg.lsb_mask:
         pixels = pixels & 0xFE
-    grid = downsample(pixels, grid_dim)
-    return challenge_matrix(feature_images(grid, cfg))
+    return downsample(pixels, grid_dim)
+
+
+def image_challenge(img: np.ndarray, cfg: FeatureConfig, grid_dim: int) -> ChallengeMatrix:
+    """Challenge addresses for an image: mask LSBs, downsample, quantize."""
+    return challenge_matrix(feature_images(challenge_grid(img, cfg, grid_dim), cfg))
 
 
 def generate_watermark(img: np.ndarray, record: EnrollmentRecord,
@@ -94,9 +100,8 @@ def generate_watermark(img: np.ndarray, record: EnrollmentRecord,
     layout = layout or WatermarkLayout(puf_dim=record.fingerprint.bits.shape[0])
     challenge = image_challenge(img, cfg, layout.grid_dim)
     response = puf_query(record, challenge, response_map=response_map)
-    digest = hashlib.sha256(np.ascontiguousarray(_check_gray(img)).tobytes()).hexdigest()
     return assemble(challenge, response, record.fingerprint, layout,
-                    chip_id=record.chip_id, image_digest=digest)
+                    chip_id=record.chip_id)
 
 
 def identify_source(fp: Fingerprint, db: list[EnrollmentRecord],
@@ -138,9 +143,8 @@ def verify(img: np.ndarray, db: list[EnrollmentRecord],
     c_emb, r_emb, f_emb = disassemble(embedded)
     c_img = image_challenge(img, cfg, layout.grid_dim)
 
-    challenge_match = 1.0 - hamming_frac(
-        np.unpackbits((c_emb.addrs[..., 0] << 4) | c_emb.addrs[..., 1]),
-        np.unpackbits((c_img.addrs[..., 0] << 4) | c_img.addrs[..., 1]))
+    challenge_match = 1.0 - hamming_frac(np.unpackbits(addr_bytes(c_emb)),
+                                         np.unpackbits(addr_bytes(c_img)))
     cell_diff = np.any(c_emb.addrs != c_img.addrs, axis=-1)
     tamper_cells = [(int(r), int(c)) for r, c in np.argwhere(cell_diff)]
 
@@ -205,22 +209,12 @@ def content_bits(wm: Watermark) -> np.ndarray:
     return wm.bits[:n]
 
 
-def _grid_planes(img: np.ndarray, overlap: float, grid_dim: int,
-                 lsb_mask: bool) -> np.ndarray:
-    """Band-membership planes of the masked, downsampled image."""
-    cfg = FeatureConfig(mode="double" if overlap > 0 else "single",
-                        overlap=overlap, lsb_mask=lsb_mask)
-    pixels = _check_gray(img)
-    if cfg.lsb_mask:
-        pixels = pixels & 0xFE
-    return feature_images(downsample(pixels, grid_dim), cfg).planes
-
-
 def tolerant_flip_frac(clean: np.ndarray, noisy: np.ndarray,
                        record: EnrollmentRecord, overlap: float,
-                       layout: WatermarkLayout, lsb_mask: bool = True) -> float:
+                       layout: WatermarkLayout) -> float:
     """Challenge+response bit flips, desensitized by the band overlap.
 
+    ``clean`` and ``noisy`` are the ``challenge_grid`` of each image.
     A grid cell only counts as flipped when its noisy band memberships share
     no plane with the clean ones, i.e. the noisy value escaped the clean
     band widened by overlap/2 on each side (the comparator-with-hysteresis
@@ -231,17 +225,14 @@ def tolerant_flip_frac(clean: np.ndarray, noisy: np.ndarray,
     only remove flip events, never add them, because memberships grow with
     the overlap.
     """
-    d = layout.grid_dim
-    base_cfg = FeatureConfig(mode="single", lsb_mask=lsb_mask)
-    consistent = np.any(_grid_planes(clean, overlap, d, lsb_mask)
-                        & _grid_planes(noisy, overlap, d, lsb_mask), axis=0)
+    cfg = FeatureConfig(mode="double" if overlap > 0 else "single", overlap=overlap)
+    consistent = np.any(feature_images(clean, cfg).planes
+                        & feature_images(noisy, cfg).planes, axis=0)
 
-    c_clean = image_challenge(clean, base_cfg, d)
-    c_noisy = image_challenge(noisy, base_cfg, d)
-    byte_clean = (c_clean.addrs[..., 0] << 4) | c_clean.addrs[..., 1]
-    byte_noisy = (c_noisy.addrs[..., 0] << 4) | c_noisy.addrs[..., 1]
-    c_diff = np.unpackbits(np.bitwise_xor(byte_clean, byte_noisy).reshape(-1)
-                           ).reshape(d, d, 8).sum(axis=-1)
+    c_clean = challenge_matrix(feature_images(clean, FeatureConfig()))
+    c_noisy = challenge_matrix(feature_images(noisy, FeatureConfig()))
+    c_diff = np.unpackbits((addr_bytes(c_clean) ^ addr_bytes(c_noisy))[..., None],
+                           axis=-1).sum(axis=-1)
     resp_clean = puf_query(record, c_clean)
     resp_noisy = puf_query(record, c_noisy)
     r_diff = ((resp_clean.r_h != resp_noisy.r_h).astype(np.int64)
@@ -254,26 +245,27 @@ def tolerant_flip_frac(clean: np.ndarray, noisy: np.ndarray,
 def robustness_sweep(img: np.ndarray, record: EnrollmentRecord,
                      sigmas: list[float], overlaps: list[float],
                      seeds: list[int],
-                     layout: WatermarkLayout | None = None,
-                     lsb_mask: bool = True) -> list[tuple[float, float, float]]:
+                     layout: WatermarkLayout | None = None) -> list[tuple[float, float, float]]:
     """Flip fraction of the image-dependent watermark bits under noise.
 
     For each (sigma, overlap): add Gaussian noise to the clean image and
     count challenge+response flips with ``tolerant_flip_frac``, averaged
     over the noise seeds. The fingerprint block is excluded since it never
-    depends on the image. Noisy images are shared across overlaps so the
+    depends on the image. Noisy grids are shared across overlaps so the
     overlap columns see identical noise.
     """
     if not seeds:
         raise ValueError("need at least one noise seed")
     layout = layout or WatermarkLayout(puf_dim=record.fingerprint.bits.shape[0])
-    noisy_images = {(sigma, seed): add_gaussian_noise(img, sigma, seed)
-                    for sigma in sigmas for seed in seeds}
+    cfg, d = FeatureConfig(), layout.grid_dim
+    clean = challenge_grid(img, cfg, d)
+    noisy_grids = {(sigma, seed): challenge_grid(add_gaussian_noise(img, sigma, seed), cfg, d)
+                   for sigma in sigmas for seed in seeds}
     table = []
     for overlap in overlaps:
         for sigma in sigmas:
-            flips = [tolerant_flip_frac(img, noisy_images[(sigma, seed)],
-                                        record, overlap, layout, lsb_mask)
+            flips = [tolerant_flip_frac(clean, noisy_grids[(sigma, seed)],
+                                        record, overlap, layout)
                      for seed in seeds]
             table.append((float(sigma), float(overlap), float(np.mean(flips))))
     table.sort(key=lambda row: (row[0], row[1]))

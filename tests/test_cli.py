@@ -138,6 +138,31 @@ def test_verify_unknown_source_exit_code(tmp_path):
                  "--out-dir", str(out)]) == 3
 
 
+@pytest.mark.parametrize("corrupt, reason", [
+    (lambda rec: {k: v for k, v in rec.items() if k != "fingerprint"},
+     "missing field 'fingerprint'"),
+    (lambda rec: {**rec, "acquisition": {**rec["acquisition"], "gain": 2.0}},
+     "field 'acquisition'"),
+    (lambda rec: [rec], "expected a JSON object"),
+])
+def test_verify_reports_malformed_record(tmp_path, capsys, corrupt, reason):
+    db = _setup_db(tmp_path, n_chips=1)
+    img_path = tmp_path / "scene.pgm"
+    write_pgm(make_image(0), img_path)
+    out = tmp_path / "out"
+    assert main(["--db-dir", str(db), "mark", str(img_path), "--chip", "chip1",
+                 "--out-dir", str(out)]) == 0
+    record = json.loads((db / "chip1.enroll.json").read_text())
+    bad = db / "bad.enroll.json"
+    bad.write_text(json.dumps(corrupt(record)))
+    capsys.readouterr()
+    assert main(["--db-dir", str(db), "verify", str(out / "scene.marked.pgm"),
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert str(bad) in err[0] and reason in err[0]
+
+
 def test_mark_capacity_and_io_errors(tmp_path):
     db = _setup_db(tmp_path, n_chips=1)
     small = tmp_path / "small.pgm"

@@ -211,3 +211,6 @@ def test_sidecar_rejects_garbage(tmp_path):
     path.write_text("not a sidecar\n")
     with pytest.raises(ValueError):
         load_watermark(path)
+    path.write_text("wm v1 D=64 L=8\n00\n")
+    with pytest.raises(ValueError, match="D=, P= and L="):
+        load_watermark(path)

@@ -7,9 +7,10 @@ from spadmark import (FeatureConfig, Thresholds, WatermarkLayout,
                       add_gaussian_noise, assemble, disassemble, embed_lsb,
                       generate_watermark, hamming_frac, identify_source,
                       psnr, puf_query, robustness_sweep, sensitivity, verify)
+from spadmark import verifier
 from spadmark.verifier import (AUTHENTIC, TAMPERED, UNKNOWN_SOURCE,
-                               content_bits, tamper_bitmap, tolerant_flip_frac,
-                               watermark_bitmap)
+                               challenge_grid, content_bits, tamper_bitmap,
+                               tolerant_flip_frac, watermark_bitmap)
 from conftest import make_image
 
 
@@ -59,7 +60,6 @@ def test_generate_watermark_deterministic(records, host_images):
     b = generate_watermark(host_images[0], records[0])
     assert np.array_equal(a.bits, b.bits)
     assert a.chip_id == "chip1"
-    assert a.image_digest == b.image_digest
 
 
 def test_generate_cross_chip_structure(records, host_images):
@@ -204,15 +204,18 @@ def test_tolerant_flips_zero_overlap_is_plain_hamming(records, host_images):
     wm_ref = generate_watermark(img, records[0])
     wm_noisy = generate_watermark(noisy, records[0])
     plain = hamming_frac(content_bits(wm_ref), content_bits(wm_noisy))
-    assert tolerant_flip_frac(img, noisy, records[0], 0.0, layout) == pytest.approx(plain)
+    grids = [challenge_grid(x, FeatureConfig(), layout.grid_dim) for x in (img, noisy)]
+    assert tolerant_flip_frac(*grids, records[0], 0.0, layout) == pytest.approx(plain)
 
 
 def test_tolerant_flips_monotone_in_overlap(records, host_images):
     img = host_images[0]
     layout = WatermarkLayout()
+    clean = challenge_grid(img, FeatureConfig(), layout.grid_dim)
     for seed in (1, 2):
-        noisy = add_gaussian_noise(img, 30.0, seed=seed)
-        flips = [tolerant_flip_frac(img, noisy, records[0], w, layout)
+        noisy = challenge_grid(add_gaussian_noise(img, 30.0, seed=seed),
+                               FeatureConfig(), layout.grid_dim)
+        flips = [tolerant_flip_frac(clean, noisy, records[0], w, layout)
                  for w in (0, 2, 4, 6, 8, 10, 12)]
         assert all(a >= b for a, b in zip(flips, flips[1:]))
 
@@ -228,6 +231,16 @@ def test_robustness_sweep_table_shape(records, host_images):
     assert table == sorted(table)
     with pytest.raises(ValueError):
         robustness_sweep(host_images[0], records[0], [6], [0], [])
+
+
+def test_robustness_sweep_downsamples_each_image_once(records, host_images, monkeypatch):
+    calls = []
+    downsample = verifier.downsample
+    monkeypatch.setattr(verifier, "downsample",
+                        lambda *args: calls.append(1) or downsample(*args))
+    sigmas, overlaps, seeds = [6, 18], [0, 6, 12], [101, 102]
+    robustness_sweep(host_images[0], records[0], sigmas, overlaps, seeds)
+    assert len(calls) == 1 + len(sigmas) * len(seeds)
 
 
 def test_report_bitmaps(records, host_images):
