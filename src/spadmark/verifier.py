@@ -187,8 +187,10 @@ def add_gaussian_noise(img: np.ndarray, sigma: float, seed: int = 0) -> np.ndarr
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     pixels = _check_gray(img)
     rng = np.random.default_rng(seed)
-    noisy = pixels.astype(np.float64) + rng.normal(0.0, sigma, pixels.shape)
-    return np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
+    noisy = rng.normal(0.0, sigma, pixels.shape)
+    noisy += pixels  # in place: full-size temporaries are page-faulted in anew each call
+    np.clip(np.rint(noisy, out=noisy), 0, 255, out=noisy)
+    return noisy.astype(np.uint8)
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

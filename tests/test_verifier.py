@@ -51,6 +51,9 @@ def test_add_gaussian_noise():
     assert np.array_equal(n1, add_gaussian_noise(img, 10.0, seed=1))
     assert not np.array_equal(n1, add_gaussian_noise(img, 10.0, seed=2))
     assert n1.dtype == np.uint8
+    # the in-place arithmetic gives the same bytes as the plain expression
+    noise = np.random.default_rng(1).normal(0.0, 10.0, img.shape)
+    assert np.array_equal(n1, np.clip(np.rint(img + noise), 0, 255).astype(np.uint8))
     with pytest.raises(ValueError):
         add_gaussian_noise(img, -1.0)
 
