@@ -14,8 +14,7 @@ from .puf import (HORIZONTAL, VERTICAL, EnrollmentRecord, Fingerprint,
                   RelativeDCM, ResponsePair, enroll, fingerprint,
                   golden_acquisition, load_enrollment, load_enrollment_db,
                   puf_query, rdcm, save_enrollment)
-from .features import (ChallengeMatrix, FeatureConfig, FeatureStack,
-                       challenge_matrix, downsample, feature_images)
+from .features import FeatureConfig, challenge_matrix, downsample, feature_images
 from .codec import (PgmError, Watermark, WatermarkLayout, assemble,
                     disassemble, embed_lsb, extract_lsb, load_watermark,
                     read_pgm, save_watermark, write_pgm)

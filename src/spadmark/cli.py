@@ -42,8 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _features(args) -> FeatureConfig:
-    return FeatureConfig(mode="double" if args.overlap > 0 else "single",
-                         overlap=args.overlap)
+    return FeatureConfig(overlap=args.overlap)
 
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:

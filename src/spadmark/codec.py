@@ -1,10 +1,10 @@
 """Watermark serialization, LSB embedding and PGM image I/O.
 
-The watermark is a fixed-layout bit string: challenge block (one byte per
-grid cell, row nibble then column nibble, row-major), then the two response
-planes, then the device fingerprint. At the defaults (grid 64, map 64) that
-is 32768 + 8192 + 4096 = 45056 bits, carried in the least significant bits
-of the first 45056 host pixels. LSBs beyond the payload are left untouched.
+The watermark is a fixed-layout bit string: challenge block (the D x D
+address bytes of ``features.challenge_matrix``, row-major, MSB first), then
+the two response planes, then the device fingerprint. At the defaults (grid
+64, map 64) that is 32768 + 8192 + 4096 = 45056 bits, carried in the least
+significant bits of the first 45056 host pixels. LSBs beyond the payload are left untouched.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import ChallengeMatrix, _check_gray, addr_bytes
+from .features import _check_gray
 from .puf import Fingerprint, ResponsePair, bits_to_hex, hex_to_bits
 
 
@@ -79,42 +79,39 @@ class Watermark:
     chip_id: str = ""
 
 
-def assemble(challenge: ChallengeMatrix, response: ResponsePair,
-             fp: Fingerprint, layout: WatermarkLayout | None = None,
-             chip_id: str = "") -> Watermark:
-    """Serialize challenge, responses and fingerprint per the fixed layout."""
+def assemble(challenge: np.ndarray, response: ResponsePair,
+             fp: Fingerprint, layout: WatermarkLayout | None = None) -> Watermark:
+    """Serialize challenge bytes, responses and fingerprint per the fixed layout."""
     layout = layout or WatermarkLayout()
     d, p = layout.grid_dim, layout.puf_dim
-    if np.shape(challenge.addrs) != (d, d, 2):
-        raise ValueError(
-            f"challenge shape {np.shape(challenge.addrs)} does not match grid_dim {d}")
+    if np.shape(challenge) != (d, d):
+        raise ValueError(f"challenge shape {np.shape(challenge)} does not match grid_dim {d}")
     if response.r_h.shape != (d, d) or response.r_v.shape != (d, d):
         raise ValueError("response shape does not match grid_dim")
     if fp.bits.shape != (p, p):
         raise ValueError(f"fingerprint shape {fp.bits.shape} does not match puf_dim {p}")
     bits = np.concatenate([
-        np.unpackbits(addr_bytes(challenge).reshape(-1)),
+        np.unpackbits(challenge.reshape(-1)),
         response.r_h.ravel().astype(np.uint8),
         response.r_v.ravel().astype(np.uint8),
         fp.bits.ravel().astype(np.uint8),
     ])
-    return Watermark(bits=bits, layout=layout, chip_id=chip_id or fp.chip_id)
+    return Watermark(bits=bits, layout=layout, chip_id=fp.chip_id)
 
 
-def disassemble(wm: Watermark) -> tuple[ChallengeMatrix, ResponsePair, Fingerprint]:
+def disassemble(wm: Watermark) -> tuple[np.ndarray, ResponsePair, Fingerprint]:
     """Exact inverse of assemble."""
     layout = wm.layout
     bits = np.asarray(wm.bits, dtype=np.uint8)
     if bits.ndim != 1 or bits.size != layout.total_bits:
         raise ValueError(f"watermark holds {bits.size} bits, layout expects {layout.total_bits}")
     d, p = layout.grid_dim, layout.puf_dim
-    addr_bytes = np.packbits(bits[layout.challenge_slice]).reshape(d, d)
-    addrs = np.stack([addr_bytes >> 4, addr_bytes & 0x0F], axis=-1).astype(np.uint8)
+    challenge = np.packbits(bits[layout.challenge_slice]).reshape(d, d)
     response = ResponsePair(r_h=bits[layout.response_h_slice].reshape(d, d).copy(),
                             r_v=bits[layout.response_v_slice].reshape(d, d).copy())
     fp = Fingerprint(bits=bits[layout.fingerprint_slice].reshape(p, p).copy(),
                      chip_id=wm.chip_id)
-    return ChallengeMatrix(addrs=addrs, grid_dim=d), response, fp
+    return challenge, response, fp
 
 
 def embed_lsb(host: np.ndarray, wm: Watermark) -> np.ndarray:

@@ -3,9 +3,12 @@
 Every challenge is built in one sequence: clear the host's LSB plane at
 full resolution, block-average to the challenge grid (``downsample``, called
 by ``verifier.challenge_grid``), clear the grid's LSB and quantize each cell
-into L binary band planes (``feature_images``), then pack planes 1-4 into a
-row and planes 5-8 into a column address (``challenge_matrix``), one byte
-per cell (``addr_bytes``).
+into L binary band planes (``feature_images``), then pack each cell's 8
+planes into one address byte (``challenge_matrix``): planes 1-4 form the
+high nibble, the row of the relative maps, and planes 5-8 the low nibble,
+the column. That (D, D) uint8 array of address bytes is the challenge in
+every layer: ``puf.puf_query`` splits each byte into its row and column,
+and the watermark payload carries the bytes as they are.
 
 The second LSB clear, on the grid, is not redundant: a block mean can be
 odd, and clearing the LSB of a mean one above a band edge (33, 65, ...)
@@ -16,10 +19,10 @@ Plane i is computed with a nested signum expression
     plane_i = sign(sign(256/L * i - I) + 1) - sign(sum of planes 1..i-1)
 
 using sign(0) = 0, which makes each band upper-inclusive: plane 1 covers
-[0, 32] and plane 8 covers (224, 255] at the defaults. In double-threshold
-mode a pixel within overlap/2 of an internal band boundary is additionally
-marked in the neighboring plane, trading edit sensitivity for noise
-immunity the way a Schmitt trigger does.
+[0, 32] and plane 8 covers (224, 255] at the defaults. An overlap > 0
+selects double thresholds: a pixel within overlap/2 of an internal band
+boundary is additionally marked in the neighboring plane, trading edit
+sensitivity for noise immunity the way a Schmitt trigger does.
 """
 
 from __future__ import annotations
@@ -30,16 +33,12 @@ import numpy as np
 
 INTENSITY_RANGE = 256  # 8-bit images only
 
-SINGLE = "single"
-DOUBLE = "double"
-
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Quantizer settings: plane count, threshold mode, overlap width."""
+    """Quantizer settings: plane count, overlap (> 0: double thresholds), LSB mask."""
 
     L: int = 8
-    mode: str = SINGLE
     overlap: float = 0.0        # total width of the desensitized band, intensity units
     lsb_mask: bool = True       # quantize with the LSB plane cleared
 
@@ -48,27 +47,9 @@ class FeatureConfig:
             raise ValueError(f"L must be even and >= 2, got {self.L}")
         if INTENSITY_RANGE % self.L != 0:
             raise ValueError(f"L must divide {INTENSITY_RANGE}, got {self.L}")
-        if self.mode not in (SINGLE, DOUBLE):
-            raise ValueError(f"mode must be {SINGLE!r} or {DOUBLE!r}, got {self.mode!r}")
         if self.overlap < 0 or self.overlap >= INTENSITY_RANGE / self.L:
             raise ValueError(
                 f"overlap must be in [0, {INTENSITY_RANGE // self.L}), got {self.overlap}")
-
-
-@dataclass
-class FeatureStack:
-    """L binary planes, stacked as a (L, height, width) array."""
-
-    planes: np.ndarray
-    config: FeatureConfig
-
-
-@dataclass
-class ChallengeMatrix:
-    """Per-cell (row, col) map addresses; values in [0, 2**(L/2) - 1]."""
-
-    addrs: np.ndarray           # (grid_dim, grid_dim, 2) uint8
-    grid_dim: int
 
 
 def _check_gray(img: np.ndarray) -> np.ndarray:
@@ -84,8 +65,9 @@ def _check_gray(img: np.ndarray) -> np.ndarray:
     return pixels
 
 
-def feature_images(img: np.ndarray, cfg: FeatureConfig) -> FeatureStack:
-    """Quantize an image into L binary band-membership planes."""
+def feature_images(img: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
+    """Quantize an image into L binary band-membership planes, stacked as a
+    (L, height, width) uint8 array."""
     pixels = _check_gray(img)
     if cfg.lsb_mask:
         pixels = pixels & 0xFE
@@ -98,13 +80,13 @@ def feature_images(img: np.ndarray, cfg: FeatureConfig) -> FeatureStack:
         plane = above - np.sign(assigned)
         planes[i - 1] = plane
         assigned += plane
-    if cfg.mode == DOUBLE and cfg.overlap > 0:
+    if cfg.overlap > 0:
         half = cfg.overlap / 2.0
         for t in range(1, cfg.L):
             zone = np.abs(level - band * t) <= half
             planes[t - 1][zone] = 1
             planes[t][zone] = 1
-    return FeatureStack(planes=planes, config=cfg)
+    return planes
 
 
 def downsample(img: np.ndarray, grid_dim: int) -> np.ndarray:
@@ -123,26 +105,16 @@ def downsample(img: np.ndarray, grid_dim: int) -> np.ndarray:
     return (sums // (bh * bw)).astype(np.uint8)
 
 
-def challenge_matrix(stack: FeatureStack) -> ChallengeMatrix:
-    """Pack plane bits into per-pixel map addresses.
+def challenge_matrix(planes: np.ndarray) -> np.ndarray:
+    """Pack each cell's 8 planes, plane 1 first, into one address byte.
 
-    Planes 1-4 are read MSB-first as the row address, planes 5-8 as the
-    column address. Only L = 8 has a defined nibble packing.
+    The high nibble (planes 1-4) is the map row, the low nibble (planes
+    5-8) the map column. Only L = 8 has a defined packing.
     """
-    if stack.config.L != 8:
-        raise ValueError(f"challenge addresses are defined for L = 8 only, got L = {stack.config.L}")
-    planes = stack.planes
+    if planes.shape[0] != 8:
+        raise ValueError(f"challenge addresses are defined for L = 8 only, got L = {planes.shape[0]}")
     if planes.shape[1] != planes.shape[2]:
         raise ValueError(f"challenge grid must be square, got {planes.shape[1]}x{planes.shape[2]}")
-    weights = np.array([8, 4, 2, 1], dtype=np.uint8).reshape(4, 1, 1)
-    row_addr = (planes[0:4] * weights).sum(axis=0, dtype=np.uint8)
-    col_addr = (planes[4:8] * weights).sum(axis=0, dtype=np.uint8)
-    return ChallengeMatrix(addrs=np.stack([row_addr, col_addr], axis=-1),
-                           grid_dim=planes.shape[1])
-
-
-def addr_bytes(challenge: ChallengeMatrix) -> np.ndarray:
-    """One byte per grid cell: row address in the high nibble, column
-    address in the low nibble. This is the watermark's challenge block."""
-    addrs = np.asarray(challenge.addrs, dtype=np.uint8)
-    return (addrs[..., 0] << 4) | addrs[..., 1]
+    # the same bytes as np.packbits(planes, axis=0)[0], which is ~15x slower
+    weights = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8).reshape(8, 1, 1)
+    return (planes * weights).sum(axis=0, dtype=np.uint8)

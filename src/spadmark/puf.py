@@ -110,22 +110,26 @@ def enroll(chip: ChipModel, cfg: AcquisitionConfig | None = None) -> EnrollmentR
                             fingerprint=fingerprint(h, v), enrollment_cfg=cfg)
 
 
-def puf_query(record: EnrollmentRecord, challenge, response_map: str = "both") -> ResponsePair:
-    """Read both relative maps at the challenge's (row, col) addresses.
+def puf_query(record: EnrollmentRecord, challenge: np.ndarray,
+              response_map: str = "both") -> ResponsePair:
+    """Read both relative maps at the challenge's address bytes.
 
-    Addresses index the top-left window of the maps; any address at or past
-    the array edge is rejected. ``response_map`` selects which map feeds the
-    two response planes: "both" (default) uses horizontal and vertical,
-    "h"/"v" duplicate a single map into both planes so the serialized
-    layout stays fixed.
+    ``challenge`` is the (D, D) uint8 grid of ``features.challenge_matrix``:
+    high nibble = map row, low nibble = column. Other dtypes are rejected,
+    not wrapped, as is any address at or past the array edge.
+    ``response_map`` selects which map feeds the two response planes:
+    "both" (default) uses horizontal and vertical, "h"/"v" duplicate a
+    single map into both planes so the serialized layout stays fixed.
     """
-    addrs = np.asarray(challenge.addrs)
+    challenge = np.asarray(challenge)
+    if challenge.dtype != np.uint8:
+        raise ValueError(f"challenge must be uint8 address bytes, got dtype {challenge.dtype}")
+    rows, cols = challenge >> 4, challenge & 0x0F
     dim = record.rdcm_h.bits.shape[0]
-    if addrs.min() < 0 or addrs.max() >= dim:
+    if rows.max() >= dim or cols.max() >= dim:
         raise ValueError(
             f"challenge address outside the {dim}x{dim} map window "
-            f"(range {int(addrs.min())}..{int(addrs.max())})")
-    rows, cols = addrs[..., 0], addrs[..., 1]
+            f"(rows up to {int(rows.max())}, columns up to {int(cols.max())})")
     lookup = {
         "both": (record.rdcm_h, record.rdcm_v),
         "h": (record.rdcm_h, record.rdcm_h),

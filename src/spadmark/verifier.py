@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import Watermark, WatermarkLayout, assemble, disassemble, extract_lsb
-from .features import (ChallengeMatrix, FeatureConfig, addr_bytes,
-                       challenge_matrix, downsample, feature_images, _check_gray)
+from .features import FeatureConfig, challenge_matrix, downsample, feature_images, _check_gray
 from .puf import EnrollmentRecord, Fingerprint, puf_query
 
 AUTHENTIC = "authentic"
@@ -85,8 +84,8 @@ def challenge_grid(img: np.ndarray, cfg: FeatureConfig, grid_dim: int) -> np.nda
     return downsample(pixels, grid_dim)
 
 
-def image_challenge(img: np.ndarray, cfg: FeatureConfig, grid_dim: int) -> ChallengeMatrix:
-    """Challenge addresses for an image: mask LSBs, downsample, quantize."""
+def image_challenge(img: np.ndarray, cfg: FeatureConfig, grid_dim: int) -> np.ndarray:
+    """Challenge address bytes for an image: mask LSBs, downsample, quantize."""
     return challenge_matrix(feature_images(challenge_grid(img, cfg, grid_dim), cfg))
 
 
@@ -100,8 +99,7 @@ def generate_watermark(img: np.ndarray, record: EnrollmentRecord,
     layout = layout or WatermarkLayout(puf_dim=record.fingerprint.bits.shape[0])
     challenge = image_challenge(img, cfg, layout.grid_dim)
     response = puf_query(record, challenge, response_map=response_map)
-    return assemble(challenge, response, record.fingerprint, layout,
-                    chip_id=record.chip_id)
+    return assemble(challenge, response, record.fingerprint, layout)
 
 
 def identify_source(fp: Fingerprint, db: list[EnrollmentRecord],
@@ -143,10 +141,8 @@ def verify(img: np.ndarray, db: list[EnrollmentRecord],
     c_emb, r_emb, f_emb = disassemble(embedded)
     c_img = image_challenge(img, cfg, layout.grid_dim)
 
-    challenge_match = 1.0 - hamming_frac(np.unpackbits(addr_bytes(c_emb)),
-                                         np.unpackbits(addr_bytes(c_img)))
-    cell_diff = np.any(c_emb.addrs != c_img.addrs, axis=-1)
-    tamper_cells = [(int(r), int(c)) for r, c in np.argwhere(cell_diff)]
+    challenge_match = 1.0 - hamming_frac(np.unpackbits(c_emb), np.unpackbits(c_img))
+    tamper_cells = [(int(r), int(c)) for r, c in np.argwhere(c_emb != c_img)]
 
     best = identify_source(f_emb, db, thresholds)
     if best is None:
@@ -227,14 +223,12 @@ def tolerant_flip_frac(clean: np.ndarray, noisy: np.ndarray,
     only remove flip events, never add them, because memberships grow with
     the overlap.
     """
-    cfg = FeatureConfig(mode="double" if overlap > 0 else "single", overlap=overlap)
-    consistent = np.any(feature_images(clean, cfg).planes
-                        & feature_images(noisy, cfg).planes, axis=0)
+    cfg = FeatureConfig(overlap=overlap)
+    consistent = np.any(feature_images(clean, cfg) & feature_images(noisy, cfg), axis=0)
 
     c_clean = challenge_matrix(feature_images(clean, FeatureConfig()))
     c_noisy = challenge_matrix(feature_images(noisy, FeatureConfig()))
-    c_diff = np.unpackbits((addr_bytes(c_clean) ^ addr_bytes(c_noisy))[..., None],
-                           axis=-1).sum(axis=-1)
+    c_diff = np.unpackbits((c_clean ^ c_noisy)[..., None], axis=-1).sum(axis=-1)
     resp_clean = puf_query(record, c_clean)
     resp_noisy = puf_query(record, c_noisy)
     r_diff = ((resp_clean.r_h != resp_noisy.r_h).astype(np.int64)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spadmark import (ChallengeMatrix, PgmError, Watermark, WatermarkLayout,
+from spadmark import (PgmError, Watermark, WatermarkLayout,
                       assemble, disassemble, embed_lsb, extract_lsb,
                       load_watermark, psnr, read_pgm, save_watermark, write_pgm)
 from spadmark.puf import Fingerprint, ResponsePair
@@ -10,13 +10,12 @@ from spadmark.puf import Fingerprint, ResponsePair
 def _parts(layout: WatermarkLayout, rng=None):
     d, p = layout.grid_dim, layout.puf_dim
     if rng is None:
-        challenge = ChallengeMatrix(addrs=np.zeros((d, d, 2), dtype=np.uint8), grid_dim=d)
+        challenge = np.zeros((d, d), dtype=np.uint8)
         response = ResponsePair(r_h=np.zeros((d, d), dtype=np.uint8),
                                 r_v=np.zeros((d, d), dtype=np.uint8))
         fp = Fingerprint(bits=np.zeros((p, p), dtype=np.uint8), chip_id="z")
     else:
-        challenge = ChallengeMatrix(addrs=rng.integers(0, 16, (d, d, 2)).astype(np.uint8),
-                                    grid_dim=d)
+        challenge = rng.integers(0, 256, (d, d)).astype(np.uint8)
         response = ResponsePair(r_h=rng.integers(0, 2, (d, d)).astype(np.uint8),
                                 r_v=rng.integers(0, 2, (d, d)).astype(np.uint8))
         fp = Fingerprint(bits=rng.integers(0, 2, (p, p)).astype(np.uint8), chip_id="r")
@@ -61,10 +60,10 @@ def test_assemble_all_zero():
 def test_assemble_first_cell_nibbles():
     layout = WatermarkLayout()
     challenge, response, fp = _parts(layout)
-    challenge.addrs[0, 0] = (8, 0)
+    challenge[0, 0] = 0x80
     wm = assemble(challenge, response, fp, layout)
     assert wm.bits[:8].tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
-    challenge.addrs[0, 0] = (3, 9)
+    challenge[0, 0] = 0x39
     wm = assemble(challenge, response, fp, layout)
     assert wm.bits[:8].tolist() == [0, 0, 1, 1, 1, 0, 0, 1]
 
@@ -72,9 +71,9 @@ def test_assemble_first_cell_nibbles():
 def test_assemble_dimension_errors():
     layout = WatermarkLayout()
     challenge, response, fp = _parts(layout)
-    wrong = ChallengeMatrix(addrs=np.zeros((8, 8, 2), dtype=np.uint8), grid_dim=8)
-    with pytest.raises(ValueError):
-        assemble(wrong, response, fp, layout)
+    for wrong in (np.zeros((8, 8), dtype=np.uint8), np.zeros((64, 64, 2), dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            assemble(wrong, response, fp, layout)
     small_fp = Fingerprint(bits=np.zeros((8, 8), dtype=np.uint8), chip_id="z")
     with pytest.raises(ValueError):
         assemble(challenge, response, small_fp, layout)
@@ -85,7 +84,7 @@ def test_disassemble_round_trip():
     rng = np.random.default_rng(1)
     challenge, response, fp = _parts(layout, rng)
     c2, r2, f2 = disassemble(assemble(challenge, response, fp, layout))
-    assert np.array_equal(c2.addrs, challenge.addrs)
+    assert np.array_equal(c2, challenge) and c2.dtype == np.uint8
     assert np.array_equal(r2.r_h, response.r_h)
     assert np.array_equal(r2.r_v, response.r_v)
     assert np.array_equal(f2.bits, fp.bits)
@@ -95,7 +94,7 @@ def test_disassemble_zero_and_length_error():
     layout = WatermarkLayout(grid_dim=4, puf_dim=4)
     c, r, f = disassemble(Watermark(bits=np.zeros(layout.total_bits, dtype=np.uint8),
                                     layout=layout))
-    assert not c.addrs.any() and not r.r_h.any() and not f.bits.any()
+    assert not c.any() and not r.r_h.any() and not f.bits.any()
     with pytest.raises(ValueError):
         disassemble(Watermark(bits=np.zeros(10, dtype=np.uint8), layout=layout))
 

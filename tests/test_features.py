@@ -14,7 +14,7 @@ def band_oracle(value: int, L: int = 8) -> int:
 
 def _memberships(cfg: FeatureConfig) -> np.ndarray:
     # (L, 256) membership table over every intensity
-    return feature_images(ALL_LEVELS, cfg).planes[:, 0, :]
+    return feature_images(ALL_LEVELS, cfg)[:, 0, :]
 
 
 def test_config_validation():
@@ -24,8 +24,6 @@ def test_config_validation():
         FeatureConfig(L=0)
     with pytest.raises(ValueError):
         FeatureConfig(L=6)        # does not divide 256
-    with pytest.raises(ValueError):
-        FeatureConfig(mode="triple")
     with pytest.raises(ValueError):
         FeatureConfig(overlap=-1)
     with pytest.raises(ValueError):
@@ -57,25 +55,19 @@ def test_band_edge_examples():
 
 
 def test_double_mode_overlap_examples():
-    planes = _memberships(FeatureConfig(mode="double", overlap=6, lsb_mask=False))
+    planes = _memberships(FeatureConfig(overlap=6, lsb_mask=False))
     assert np.array_equal(np.nonzero(planes[:, 30])[0], [0, 1])  # |30-32| <= 3
     assert np.array_equal(np.nonzero(planes[:, 35])[0], [0, 1])
     assert np.array_equal(np.nonzero(planes[:, 36])[0], [1])
     assert np.array_equal(np.nonzero(planes[:, 28])[0], [0])
 
 
-def test_double_zero_overlap_equals_single():
-    single = _memberships(FeatureConfig(lsb_mask=False))
-    double = _memberships(FeatureConfig(mode="double", overlap=0, lsb_mask=False))
-    assert np.array_equal(single, double)
-
-
 def test_popcount_invariants():
     rng = np.random.default_rng(3)
     img = rng.integers(0, 256, (40, 56)).astype(np.uint8)
-    single = feature_images(img, FeatureConfig()).planes.sum(axis=0)
+    single = feature_images(img, FeatureConfig()).sum(axis=0)
     assert np.all(single == 1)
-    double = feature_images(img, FeatureConfig(mode="double", overlap=12)).planes.sum(axis=0)
+    double = feature_images(img, FeatureConfig(overlap=12)).sum(axis=0)
     assert np.all((double >= 1) & (double <= 2))
 
 
@@ -84,19 +76,18 @@ def test_lsb_plane_is_ignored_when_masked():
     img = rng.integers(0, 256, (32, 32)).astype(np.uint8)
     scrambled = (img & 0xFE) | rng.integers(0, 2, img.shape).astype(np.uint8)
     cfg = FeatureConfig(lsb_mask=True)
-    assert np.array_equal(feature_images(img, cfg).planes,
-                          feature_images(scrambled, cfg).planes)
+    assert np.array_equal(feature_images(img, cfg),
+                          feature_images(scrambled, cfg))
     cfg_raw = FeatureConfig(lsb_mask=False)
-    assert not np.array_equal(feature_images(img, cfg_raw).planes,
-                              feature_images(scrambled, cfg_raw).planes)
+    assert not np.array_equal(feature_images(img, cfg_raw),
+                              feature_images(scrambled, cfg_raw))
 
 
 def test_small_changes_touch_few_planes():
     # moving a value by less than (band width - overlap) alters at most two
     # planes; staying inside one overlap zone alters at most one
     for overlap in (0, 6, 12):
-        cfg = FeatureConfig(mode="double" if overlap else "single",
-                            overlap=overlap, lsb_mask=False)
+        cfg = FeatureConfig(overlap=overlap, lsb_mask=False)
         table = _memberships(cfg)
         limit = 32 - overlap
         for a in range(256):
@@ -136,25 +127,29 @@ def test_challenge_matrix_band_nibbles():
     values = np.array([[16, 255, 140, 100]], dtype=np.uint8)  # bands 1, 8, 5, 4
     # square grid required: tile to 4x4
     img = np.repeat(values, 4, axis=0)
-    addrs = challenge_matrix(feature_images(img, cfg)).addrs
-    assert tuple(addrs[0, 0]) == (8, 0)   # band 1 -> row MSB
-    assert tuple(addrs[0, 1]) == (0, 1)   # band 8 -> col LSB
-    assert tuple(addrs[0, 2]) == (0, 8)   # band 5 -> col MSB
-    assert tuple(addrs[0, 3]) == (1, 0)   # band 4 -> row LSB
+    addrs = challenge_matrix(feature_images(img, cfg))
+    assert addrs.shape == (4, 4) and addrs.dtype == np.uint8
+    assert addrs[0, 0] == 0x80   # band 1 -> row MSB
+    assert addrs[0, 1] == 0x01   # band 8 -> col LSB
+    assert addrs[0, 2] == 0x08   # band 5 -> col MSB
+    assert addrs[0, 3] == 0x10   # band 4 -> row LSB
 
 
 def test_challenge_matrix_double_threshold_cell():
-    cfg = FeatureConfig(mode="double", overlap=6, lsb_mask=False)
+    cfg = FeatureConfig(overlap=6, lsb_mask=False)
     img = np.full((2, 2), 126, dtype=np.uint8)  # |126-128| <= 3: bands 4 and 5
-    addrs = challenge_matrix(feature_images(img, cfg)).addrs
-    assert tuple(addrs[0, 0]) == (1, 8)
+    addrs = challenge_matrix(feature_images(img, cfg))
+    assert addrs[0, 0] == 0x18
+    rng = np.random.default_rng(11)
+    planes = feature_images(rng.integers(0, 256, (16, 16)).astype(np.uint8), cfg)
+    assert np.array_equal(challenge_matrix(planes), np.packbits(planes, axis=0)[0])
 
 
 def test_challenge_matrix_requires_l8_and_square():
     img = np.zeros((4, 4), dtype=np.uint8)
-    stack = feature_images(img, FeatureConfig(L=4))
+    planes = feature_images(img, FeatureConfig(L=4))
     with pytest.raises(ValueError):
-        challenge_matrix(stack)
+        challenge_matrix(planes)
     wide = feature_images(np.zeros((2, 4), dtype=np.uint8), FeatureConfig())
     with pytest.raises(ValueError):
         challenge_matrix(wide)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spadmark import (AcquisitionConfig, ChallengeMatrix, ChipParams,
+from spadmark import (AcquisitionConfig, ChipParams,
                       acquire_dcm, enroll, fingerprint, golden_acquisition,
                       hamming_frac, load_enrollment, load_enrollment_db,
                       new_chip, puf_query, rdcm, save_enrollment)
@@ -128,7 +128,7 @@ def test_temperature_stability():
 
 def test_puf_query_constant_challenge():
     rec = _record([[1, 0], [0, 0]], [[1, 1], [0, 0]])
-    challenge = ChallengeMatrix(addrs=np.zeros((3, 3, 2), dtype=np.uint8), grid_dim=3)
+    challenge = np.zeros((3, 3), dtype=np.uint8)
     response = puf_query(rec, challenge)
     assert np.all(response.r_h == rec.rdcm_h.bits[0, 0])
     assert np.all(response.r_v == rec.rdcm_v.bits[0, 0])
@@ -137,30 +137,35 @@ def test_puf_query_constant_challenge():
 def test_puf_query_all_zero_record():
     rec = _record(np.zeros((4, 4), dtype=int), np.zeros((4, 4), dtype=int))
     rng = np.random.default_rng(2)
-    challenge = ChallengeMatrix(addrs=rng.integers(0, 4, (5, 5, 2)).astype(np.uint8), grid_dim=5)
+    challenge = (16 * rng.integers(0, 4, (5, 5)) + rng.integers(0, 4, (5, 5))).astype(np.uint8)
     response = puf_query(rec, challenge)
     assert not response.r_h.any() and not response.r_v.any()
 
 
 def test_puf_query_identity_lookup():
     rec = _record([[1, 0], [0, 0]], [[1, 1], [0, 0]])
-    addrs = np.array([[[0, 0], [0, 1]], [[1, 0], [1, 1]]], dtype=np.uint8)
-    response = puf_query(rec, ChallengeMatrix(addrs=addrs, grid_dim=2))
+    challenge = np.array([[0x00, 0x01], [0x10, 0x11]], dtype=np.uint8)
+    response = puf_query(rec, challenge)
     assert np.array_equal(response.r_h, [[1, 0], [0, 0]])
     assert np.array_equal(response.r_v, [[1, 1], [0, 0]])
 
 
 def test_puf_query_window_error():
     rec = _record([[1, 0], [0, 0]], [[1, 1], [0, 0]])
-    addrs = np.full((2, 2, 2), 2, dtype=np.int64)
-    with pytest.raises(ValueError):
-        puf_query(rec, ChallengeMatrix(addrs=addrs, grid_dim=2))
+    for byte in (0x22, 0x20, 0x02):      # row, column or both past the edge
+        with pytest.raises(ValueError, match="map window"):
+            puf_query(rec, np.full((2, 2), byte, dtype=np.uint8))
+    # on a 64x64 map, -1 would read row -1 (the last), column 15, and 0x101
+    # row 16, column 1; neither is an address byte, so both are rejected
+    wide = _record(np.zeros((64, 64), dtype=int), np.zeros((64, 64), dtype=int))
+    for wrong in (np.full((2, 2), -1), np.full((2, 2), 0x101), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="uint8"):
+            puf_query(wide, wrong)
 
 
 def test_puf_query_response_map_variants():
     rec = _record([[1, 0], [0, 0]], [[1, 1], [0, 0]])
-    addrs = np.array([[[0, 0], [0, 1]], [[1, 0], [1, 1]]], dtype=np.uint8)
-    challenge = ChallengeMatrix(addrs=addrs, grid_dim=2)
+    challenge = np.array([[0x00, 0x01], [0x10, 0x11]], dtype=np.uint8)
     h_only = puf_query(rec, challenge, response_map="h")
     assert np.array_equal(h_only.r_h, h_only.r_v)
     assert np.array_equal(h_only.r_h, rec.rdcm_h.bits)
