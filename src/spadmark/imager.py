@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +37,11 @@ class ChipParams:
     gate_voltage: float = 0.0          # native operating point; fixed at 0 V
 
     def __post_init__(self) -> None:
-        if self.array_dim < 2:
-            raise ValueError(f"array_dim must be >= 2, got {self.array_dim}")
+        for name, value in asdict(self).items():
+            if not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.array_dim, Integral) or self.array_dim < 2:
+            raise ValueError(f"array_dim must be an integer >= 2, got {self.array_dim}")
         if self.dcr_median <= 0:
             raise ValueError(f"dcr_median must be > 0, got {self.dcr_median}")
         if self.dcr_sigma < 0:
@@ -161,6 +165,30 @@ def acquire_dcm(chip: ChipModel, cfg: AcquisitionConfig) -> DarkCountMap:
     return DarkCountMap(counts=counts, config=cfg, chip_id=chip.chip_id)
 
 
+# --- record files -------------------------------------------------------------
+
+def json_record(path: str | Path):
+    """Parse a JSON object record; return ``field(key, parse)``, which gives
+    ``parse(payload[key])``. Bad UTF-8 or JSON, a non-object, a missing key or
+    a value ``parse`` rejects raises ValueError naming the file (and field)."""
+    try:
+        payload = json.loads(Path(path).read_bytes())
+    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+
+    def field(key, parse):
+        if key not in payload:
+            raise ValueError(f"{path}: missing field {key!r}")
+        try:
+            return parse(payload[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: field {key!r}: {exc}") from exc
+
+    return field
+
+
 # --- chip persistence -------------------------------------------------------
 # Only (chip_id, seed, params) hit disk; the matrices are regenerated.
 
@@ -177,6 +205,7 @@ def save_chip(chip: ChipModel, db_dir: str | Path) -> Path:
 
 
 def load_chip(path: str | Path) -> ChipModel:
-    record = json.loads(Path(path).read_text())
-    params = ChipParams(**record["params"])
-    return new_chip(record["chip_id"], int(record["seed"]), params)
+    """Regenerate a saved chip; a malformed file raises ValueError naming it."""
+    field = json_record(path)
+    params = field("params", lambda fields: ChipParams(**fields))
+    return new_chip(field("chip_id", str), field("seed", int), params)

@@ -6,6 +6,11 @@ edge. Because the comparison only uses ordering, any monotone rescaling of
 the counts -- in particular the common exponential growth with temperature --
 leaves the maps unchanged; that is the whole trick behind using them as a
 stable device secret.
+
+A challenge is the (D, D) uint8 grid of address bytes built by
+``features.challenge_matrix``; ``puf_query`` splits each byte into a map row
+(high nibble) and column (low nibble). An enrollment database holds one
+record per chip_id; ``load_enrollment_db`` rejects a duplicate.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imager import AcquisitionConfig, ChipModel, DarkCountMap, acquire_dcm
+from .imager import AcquisitionConfig, ChipModel, DarkCountMap, acquire_dcm, json_record
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -182,20 +187,9 @@ def save_enrollment(record: EnrollmentRecord, db_dir: str | Path) -> Path:
 
 
 def load_enrollment(path: str | Path) -> EnrollmentRecord:
-    """Parse one record; a missing or malformed field raises ValueError
-    naming the file and the field."""
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
-
-    def field(key, parse):
-        if key not in payload:
-            raise ValueError(f"{path}: missing field {key!r}")
-        try:
-            return parse(payload[key])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: field {key!r}: {exc}") from exc
-
+    """Parse one record; a malformed file or field raises ValueError naming
+    the file (and the field)."""
+    field = json_record(path)
     dim = field("array_dim", int)
     chip_id = field("chip_id", str)
     bits = {key: field(key, lambda text: hex_to_bits(text, dim * dim).reshape(dim, dim))
@@ -209,6 +203,16 @@ def load_enrollment(path: str | Path) -> EnrollmentRecord:
 
 
 def load_enrollment_db(db_dir: str | Path) -> list[EnrollmentRecord]:
-    """All enrollment records in a directory, sorted by chip id."""
-    records = [load_enrollment(p) for p in sorted(Path(db_dir).glob("*.enroll.json"))]
+    """All enrollment records in a directory, sorted by chip id. Two files
+    with one chip_id raise ValueError naming both: verify names its source
+    by chip_id, so it could not tell which record's maps to query."""
+    paths: dict[str, Path] = {}
+    records = []
+    for path in sorted(Path(db_dir).glob("*.enroll.json")):
+        record = load_enrollment(path)
+        if record.chip_id in paths:
+            raise ValueError(
+                f"{paths[record.chip_id]} and {path} both enroll chip_id {record.chip_id!r}")
+        paths[record.chip_id] = path
+        records.append(record)
     return sorted(records, key=lambda r: r.chip_id)

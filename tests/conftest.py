@@ -1,7 +1,41 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings, strategies as st
 
 from spadmark import enroll, golden_acquisition, new_chip
+
+# Parser fuzzing: each file parser must return or raise ValueError, for any
+# bytes. Numbers stay small: new_chip allocates array_dim^2 arrays and raises
+# 10 to dcr_sigma-scaled powers, so huge values would exercise memory and
+# float overflow rather than parsing.
+FUZZ = settings(max_examples=200, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 80) | st.floats(-8, 8) | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+def mutated(valid: dict):
+    """``valid`` with each key kept, dropped or given another JSON value
+    (nested objects mutated the same way), plus maybe an unknown key."""
+    def variants(value):
+        return (mutated(value) if isinstance(value, dict) else st.just(value)) | JSON_VALUES
+    return st.fixed_dictionaries(
+        {}, optional={**{key: variants(value) for key, value in valid.items()},
+                      "unknown": JSON_VALUES})
+
+
+def fuzzed_json(valid: dict):
+    """File bytes: ``valid`` or a mutation of it as JSON, possibly cut
+    short, or arbitrary bytes."""
+    text = (st.just(valid) | mutated(valid)).map(lambda payload: json.dumps(payload).encode())
+    return (text | st.tuples(text, st.integers(0, 300)).map(lambda cut: cut[0][:cut[1]])
+            | st.binary(max_size=40))
 
 
 def make_image(seed: int = 0, size: int = 512) -> np.ndarray:

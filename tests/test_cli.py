@@ -144,6 +144,7 @@ def test_verify_unknown_source_exit_code(tmp_path):
     (lambda rec: {**rec, "acquisition": {**rec["acquisition"], "gain": 2.0}},
      "field 'acquisition'"),
     (lambda rec: [rec], "expected a JSON object"),
+    (lambda rec: b"{not json", "invalid JSON"),
 ])
 def test_verify_reports_malformed_record(tmp_path, capsys, corrupt, reason):
     db = _setup_db(tmp_path, n_chips=1)
@@ -154,13 +155,48 @@ def test_verify_reports_malformed_record(tmp_path, capsys, corrupt, reason):
                  "--out-dir", str(out)]) == 0
     record = json.loads((db / "chip1.enroll.json").read_text())
     bad = db / "bad.enroll.json"
-    bad.write_text(json.dumps(corrupt(record)))
+    payload = corrupt(record)
+    bad.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     capsys.readouterr()
     assert main(["--db-dir", str(db), "verify", str(out / "scene.marked.pgm"),
                  "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert str(bad) in err[0] and reason in err[0]
+
+
+def test_verify_rejects_duplicate_chip_id(tmp_path, capsys):
+    # an edited record claiming another chip's id used to make verify
+    # answer the challenge from the wrong chip's maps (exit 2, tampered)
+    db = _setup_db(tmp_path, n_chips=2)
+    img_path = tmp_path / "scene.pgm"
+    write_pgm(make_image(0), img_path)
+    out = tmp_path / "out"
+    assert main(["--db-dir", str(db), "mark", str(img_path), "--chip", "chip2",
+                 "--out-dir", str(out)]) == 0
+    second = db / "chip2.enroll.json"
+    second.write_text(second.read_text().replace('"chip_id": "chip2"', '"chip_id": "chip1"'))
+    capsys.readouterr()
+    assert main(["--db-dir", str(db), "verify", str(out / "scene.marked.pgm"),
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert str(db / "chip1.enroll.json") in err[0] and str(second) in err[0]
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"chip_id": "chip1", "seed": 1, "params": {"gain": 2.0}},
+    {"chip_id": "chip1", "seed": 1, "params": None},
+])
+def test_chip_enroll_reports_malformed_chip(tmp_path, capsys, payload):
+    db = tmp_path / "db"
+    db.mkdir()
+    chip = db / "chip1.chip.json"
+    chip.write_text(json.dumps(payload))
+    assert main(["--db-dir", str(db), "chip", "enroll", "chip1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(chip) in err[0]
 
 
 def test_mark_capacity_and_io_errors(tmp_path):

@@ -1,10 +1,14 @@
+from contextlib import suppress
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spadmark import (PgmError, Watermark, WatermarkLayout,
                       assemble, disassemble, embed_lsb, extract_lsb,
                       load_watermark, psnr, read_pgm, save_watermark, write_pgm)
 from spadmark.puf import Fingerprint, ResponsePair
+from conftest import FUZZ
 
 
 def _parts(layout: WatermarkLayout, rng=None):
@@ -212,4 +216,35 @@ def test_sidecar_rejects_garbage(tmp_path):
         load_watermark(path)
     path.write_text("wm v1 D=64 L=8\n00\n")
     with pytest.raises(ValueError, match="D=, P= and L="):
+        load_watermark(path)
+
+
+_PGM_HEADERS = st.builds(
+    lambda magic, sep, dims, maxval: b"%s%s%s\n%s" % (magic, sep, dims, maxval),
+    st.sampled_from([b"P5", b"P6", b"P", b""]), st.sampled_from([b"\n", b" ", b"#c\n", b""]),
+    st.sampled_from([b"2 2", b"0 3", b"1", b"a 2", b"99999 99999"]),
+    st.sampled_from([b"255\n", b"255", b"65535\n", b"-1\n", b""]))
+
+
+@FUZZ
+@given(raw=st.binary(max_size=40) | st.tuples(_PGM_HEADERS, st.binary(max_size=8)).map(b"".join))
+def test_read_pgm_returns_or_raises_pgm_error(tmp_path, raw):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(raw)
+    with suppress(PgmError):
+        read_pgm(path)
+
+
+_SIDECAR_FIELDS = st.lists(st.sampled_from(["D=1", "D=0", "P=2", "P=x", "L=8", "L=4", "D",
+                                            "=", "Q=1", "D=99999"]), max_size=5)
+
+
+@FUZZ
+@given(raw=st.binary(max_size=40) | st.builds(
+    lambda fields, payload: ("\n".join([" ".join(["wm v1", *fields]), *payload])).encode(),
+    _SIDECAR_FIELDS, st.lists(st.text("0123456789abcdefg ", max_size=12), max_size=2)))
+def test_load_watermark_returns_or_raises_value_error(tmp_path, raw):
+    path = tmp_path / "x.wm.txt"
+    path.write_bytes(raw)
+    with suppress(ValueError):
         load_watermark(path)

@@ -1,10 +1,14 @@
 import json
+from contextlib import suppress
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from spadmark import (AcquisitionConfig, ChipParams, acquire_dcm, dcr_at,
                       dcr_map, load_chip, new_chip, save_chip)
+from conftest import FUZZ, fuzzed_json
 
 
 def test_params_validation():
@@ -20,6 +24,10 @@ def test_params_validation():
         ChipParams(doubling_temp_jitter=-1)
     with pytest.raises(ValueError):
         ChipParams(gate_voltage=1.5)
+    with pytest.raises(ValueError):
+        ChipParams(array_dim=2.5)
+    with pytest.raises(ValueError):
+        ChipParams(ref_temp="hot")
 
 
 def test_acquisition_validation():
@@ -139,3 +147,12 @@ def test_chip_json_round_trip(tmp_path):
     assert loaded.chip_id == chip.chip_id
     assert np.array_equal(loaded.dcr_ref, chip.dcr_ref)
     assert np.array_equal(loaded.doubling_temp, chip.doubling_temp)
+
+
+@FUZZ
+@given(raw=fuzzed_json({"chip_id": "c", "seed": 1, "params": asdict(ChipParams(array_dim=4))}))
+def test_load_chip_returns_or_raises_value_error(tmp_path, raw):
+    path = tmp_path / "c.chip.json"
+    path.write_bytes(raw)
+    with suppress(ValueError):
+        load_chip(path)

@@ -1,5 +1,9 @@
+from contextlib import suppress
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import given
 
 from spadmark import (AcquisitionConfig, ChipParams,
                       acquire_dcm, enroll, fingerprint, golden_acquisition,
@@ -8,6 +12,7 @@ from spadmark import (AcquisitionConfig, ChipParams,
 from spadmark.imager import DarkCountMap
 from spadmark.puf import (HORIZONTAL, VERTICAL, EnrollmentRecord, Fingerprint,
                           RelativeDCM, bits_to_hex, hex_to_bits)
+from conftest import FUZZ, fuzzed_json
 
 
 def _dcm(counts, chip_id="t"):
@@ -201,3 +206,13 @@ def test_load_enrollment_db_sorted(tmp_path, chips):
         save_enrollment(enroll(chip, golden_acquisition(chip, rng_seed=1)), tmp_path)
     db = load_enrollment_db(tmp_path)
     assert [r.chip_id for r in db] == ["chip1", "chip2", "chip3"]
+
+
+@FUZZ
+@given(raw=fuzzed_json({"chip_id": "c", "array_dim": 4, "acquisition": asdict(AcquisitionConfig()),
+                        "rdcm_h": "a5c3", "rdcm_v": "0f0f", "fingerprint": "aacc"}))
+def test_load_enrollment_returns_or_raises_value_error(tmp_path, raw):
+    path = tmp_path / "c.enroll.json"
+    path.write_bytes(raw)
+    with suppress(ValueError):
+        load_enrollment(path)
