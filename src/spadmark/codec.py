@@ -209,7 +209,9 @@ def write_pgm(img: np.ndarray, path: str | Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     height, width = pixels.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    path.write_bytes(header + pixels.tobytes())
+    with path.open("wb") as f:
+        f.write(header)
+        f.write(np.ascontiguousarray(pixels).data)
     return path
 
 

@@ -190,15 +190,18 @@ def add_gaussian_noise(img: np.ndarray, sigma: float, seed: int = 0) -> np.ndarr
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB; +inf for identical images."""
-    x = _check_gray(a).astype(np.float64)
-    y = _check_gray(b).astype(np.float64)
+    """Peak signal-to-noise ratio in dB; +inf for identical images. Exact
+    integer arithmetic (uint8 |x - y|, uint16 squares), no float copies."""
+    x = _check_gray(a)
+    y = _check_gray(b)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    mse = float(np.mean((x - y) ** 2))
-    if mse == 0:
+    diff = np.maximum(x, y)
+    diff -= np.minimum(x, y)
+    sse = int(np.multiply(diff, diff, dtype=np.uint16).sum(dtype=np.uint64))
+    if sse == 0:
         return math.inf
-    return 10.0 * math.log10(255.0 ** 2 / mse)
+    return 10.0 * math.log10(255.0 ** 2 / (sse / x.size))
 
 
 def content_bits(wm: Watermark) -> np.ndarray:
