@@ -97,6 +97,14 @@ class DarkCountMap:
     chip_id: str
 
 
+def chip_seed(value) -> int:
+    """A chip seed: a non-negative integer; bools and floats are rejected, so
+    a record cannot name one chip and regenerate another."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def new_chip(chip_id: str, seed: int, params: ChipParams | None = None) -> ChipModel:
     """Draw a fresh chip from the manufacturing-variation model.
 
@@ -113,6 +121,7 @@ def new_chip(chip_id: str, seed: int, params: ChipParams | None = None) -> ChipM
     clamped at half the mean so no pixel gets a degenerate near-zero
     coefficient. Everything is fully determined by (seed, params).
     """
+    seed = chip_seed(seed)
     params = params or ChipParams()
     dim = params.array_dim
     rng = np.random.default_rng(seed)
@@ -128,7 +137,7 @@ def new_chip(chip_id: str, seed: int, params: ChipParams | None = None) -> ChipM
                     + np.roll(grad, (1, 1), axis=(0, 1)))
     doubling = params.doubling_temp_mean + params.doubling_temp_jitter * smooth
     doubling = np.maximum(doubling, 0.5 * params.doubling_temp_mean)
-    return ChipModel(chip_id=chip_id, seed=int(seed), params=params,
+    return ChipModel(chip_id=chip_id, seed=seed, params=params,
                      dcr_ref=dcr_ref, doubling_temp=doubling)
 
 
@@ -208,4 +217,4 @@ def load_chip(path: str | Path) -> ChipModel:
     """Regenerate a saved chip; a malformed file raises ValueError naming it."""
     field = json_record(path)
     params = field("params", lambda fields: ChipParams(**fields))
-    return new_chip(field("chip_id", str), field("seed", int), params)
+    return new_chip(field("chip_id", str), field("seed", chip_seed), params)

@@ -188,6 +188,13 @@ def test_verify_rejects_duplicate_chip_id(tmp_path, capsys):
     {},
     {"chip_id": "chip1", "seed": 1, "params": {"gain": 2.0}},
     {"chip_id": "chip1", "seed": 1, "params": None},
+    # a seed must be a non-negative JSON integer: "7", 7.9 (once truncated
+    # to 7, another chip than the file names) and true were accepted, and
+    # -4 failed inside numpy without the file name
+    {"chip_id": "chip1", "seed": "7", "params": {}},
+    {"chip_id": "chip1", "seed": 7.9, "params": {}},
+    {"chip_id": "chip1", "seed": True, "params": {}},
+    {"chip_id": "chip1", "seed": -4, "params": {}},
 ])
 def test_chip_enroll_reports_malformed_chip(tmp_path, capsys, payload):
     db = tmp_path / "db"
@@ -197,6 +204,16 @@ def test_chip_enroll_reports_malformed_chip(tmp_path, capsys, payload):
     assert main(["--db-dir", str(db), "chip", "enroll", "chip1"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and str(chip) in err[0]
+    if payload.get("seed", 1) != 1:
+        assert "'seed'" in err[0]
+
+
+def test_chip_new_rejects_negative_seed(tmp_path, capsys):
+    db = tmp_path / "db"
+    assert main(["--db-dir", str(db), "chip", "new", "chip1", "--seed", "-3"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["wm: error: seed must be a non-negative integer, got -3"]
+    assert not (db / "chip1.chip.json").exists()
 
 
 def test_mark_capacity_and_io_errors(tmp_path):
