@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from spadmark import enroll, golden_acquisition, new_chip
 
-# Parser fuzzing: each file parser must return or raise ValueError, for any
-# bytes. Numbers stay small: new_chip allocates array_dim^2 arrays and raises
-# 10 to dcr_sigma-scaled powers, so huge values would exercise memory and
-# float overflow rather than parsing.
+# Hypothesis settings of the property tests. Parser fuzzing: each file
+# parser must return or raise ValueError, for any bytes. Numbers stay small:
+# new_chip allocates array_dim^2 arrays and raises 10 to dcr_sigma-scaled
+# powers, so huge values would exercise memory and float overflow rather
+# than parsing.
 FUZZ = settings(max_examples=200, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -36,6 +38,23 @@ def fuzzed_json(valid: dict):
     text = (st.just(valid) | mutated(valid)).map(lambda payload: json.dumps(payload).encode())
     return (text | st.tuples(text, st.integers(0, 300)).map(lambda cut: cut[0][:cut[1]])
             | st.binary(max_size=40))
+
+
+def traced_peak_bytes(fn) -> int:
+    """Peak traced memory (bytes) while ``fn()`` runs, above what was traced
+    before it. numpy reports its buffers to tracemalloc, so this counts the
+    arrays ``fn`` allocates, deterministically, unlike a timing."""
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not outer:
+            tracemalloc.stop()
 
 
 def make_image(seed: int = 0, size: int = 512) -> np.ndarray:

@@ -8,7 +8,7 @@ from spadmark import (PgmError, Watermark, WatermarkLayout,
                       assemble, disassemble, embed_lsb, extract_lsb,
                       load_watermark, psnr, read_pgm, save_watermark, write_pgm)
 from spadmark.puf import Fingerprint, ResponsePair
-from conftest import FUZZ
+from conftest import FUZZ, traced_peak_bytes
 
 
 def _parts(layout: WatermarkLayout, rng=None):
@@ -188,6 +188,29 @@ def test_pgm_errors(tmp_path):
             read_pgm(path)
         assert "byte offset" in str(info.value)
         assert isinstance(info.value.offset, int)
+
+
+@pytest.mark.parametrize("view", [
+    lambda img: img.T,
+    lambda img: img[::2, 1::3],
+    lambda img: img.astype(np.int64),
+], ids=["transposed", "strided", "int64"])
+def test_write_pgm_layouts(tmp_path, view):
+    img = view(np.random.default_rng(6).integers(0, 256, (40, 33), dtype=np.uint8))
+    path = tmp_path / "v.pgm"
+    write_pgm(img, path)
+    height, width = img.shape
+    pixels = np.ascontiguousarray(img.astype(np.uint8)).tobytes()
+    assert path.read_bytes() == b"P5\n%d %d\n255\n" % (width, height) + pixels
+    assert np.array_equal(read_pgm(path), img)
+
+
+def test_write_pgm_makes_no_copies(tmp_path):
+    img = np.random.default_rng(7).integers(0, 256, (1024, 1024), dtype=np.uint8)
+    path = tmp_path / "big.pgm"
+    # 2 bytes per pixel when the header and pixel bytes were concatenated
+    assert traced_peak_bytes(lambda: write_pgm(img, path)) / img.size < 0.5
+    assert path.stat().st_size == len(b"P5\n1024 1024\n255\n") + img.size
 
 
 def test_write_pgm_rejects_bad_values(tmp_path):

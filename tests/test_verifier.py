@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from spadmark import (FeatureConfig, Thresholds, WatermarkLayout,
                       add_gaussian_noise, assemble, disassemble, embed_lsb,
@@ -11,7 +13,7 @@ from spadmark import verifier
 from spadmark.verifier import (AUTHENTIC, TAMPERED, UNKNOWN_SOURCE,
                                challenge_grid, content_bits, tamper_bitmap,
                                tolerant_flip_frac, watermark_bitmap)
-from conftest import make_image
+from conftest import FUZZ, make_image, traced_peak_bytes
 
 
 def test_hamming_frac():
@@ -42,6 +44,60 @@ def test_psnr_reference_points():
                 np.full((8, 8), 255, dtype=np.uint8)) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         psnr(base, base[:32])
+
+
+def _reference_psnr(x, y):
+    """The float64 formula psnr is held to: 10 log10(255^2 / mean((x - y)^2)),
+    evaluated in place so a 4096^2 host costs one float copy, not three."""
+    sq = x.astype(float)
+    sq -= y
+    sq **= 2
+    return 10 * math.log10(255 ** 2 / np.mean(sq))
+
+
+@st.composite
+def _image_pairs(draw):
+    dtype = draw(st.sampled_from([np.uint8, np.int64]))
+    shape = draw(array_shapes(min_dims=2, max_dims=2, max_side=64))
+    pixels = arrays(dtype, shape, elements=st.integers(0, 255))
+    x = draw(pixels)
+    kind = draw(st.sampled_from(["equal", "lsb", "any"]))
+    if kind == "equal":
+        return x, x.copy()
+    if kind == "lsb":
+        return x, x ^ draw(arrays(dtype, shape, elements=st.integers(0, 1)))
+    return x, draw(pixels)
+
+
+@FUZZ
+@given(pair=_image_pairs())
+def test_psnr_is_exact(pair):
+    x, y = pair
+    if np.array_equal(x, y):
+        assert psnr(x, y) == math.inf
+    else:
+        assert psnr(x, y) == _reference_psnr(x, y)
+
+
+def test_psnr_exact_at_4096():
+    zeros = np.zeros((4096, 4096), dtype=np.uint8)
+    assert psnr(zeros, np.full_like(zeros, 255)) == 0.0
+    # an LSB-only watermark in the first total_bits pixels of a 4096^2 host
+    n = WatermarkLayout().total_bits
+    rng = np.random.default_rng(9)
+    host = rng.integers(0, 256, (4096, 4096), dtype=np.uint8)
+    marked = host.copy()
+    flat = marked.reshape(-1)
+    flat[:n] = (flat[:n] & 0xFE) | rng.integers(0, 2, n, dtype=np.uint8)
+    assert psnr(host, marked) == _reference_psnr(host, marked)
+
+
+def test_psnr_makes_no_float_copies():
+    rng = np.random.default_rng(10)
+    x = rng.integers(0, 256, (1024, 1024), dtype=np.uint8)
+    y = rng.integers(0, 256, (1024, 1024), dtype=np.uint8)
+    # 24 bytes per pixel with float64 copies of both images
+    assert traced_peak_bytes(lambda: psnr(x, y)) / x.size < 4
 
 
 def test_add_gaussian_noise():
