@@ -9,6 +9,7 @@ significant bits of the first 45056 host pixels. LSBs beyond the payload are lef
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -153,7 +154,7 @@ class PgmError(ValueError):
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
+def _next_token(data: bytearray, pos: int) -> tuple[bytes, int]:
     # skip whitespace and '#' comments, then collect one token
     n = len(data)
     while pos < n:
@@ -169,10 +170,10 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     start = pos
     while pos < n and data[pos:pos + 1] not in _WHITESPACE:
         pos += 1
-    return data[start:pos], pos
+    return bytes(data[start:pos]), pos
 
 
-def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
+def _int_token(data: bytearray, pos: int, what: str) -> tuple[int, int]:
     token, end = _next_token(data, pos)
     if not token.isdigit():
         raise PgmError(f"malformed {what} {token!r}", end - len(token))
@@ -180,8 +181,11 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
-    """Read a binary (P5) 8-bit PGM file into a 2-D uint8 array."""
-    data = Path(path).read_bytes()
+    """Read a binary (P5) 8-bit PGM file into a 2-D uint8 array: a view of
+    the one buffer the file is read into, so the pixels are not copied."""
+    with open(path, "rb") as f:
+        data = bytearray(os.fstat(f.fileno()).st_size)
+        del data[f.readinto(data):]
     magic, pos = _next_token(data, 0)
     if magic != b"P5":
         raise PgmError(f"not a binary PGM, magic {magic!r}", pos - len(magic))
@@ -199,7 +203,7 @@ def read_pgm(path: str | Path) -> np.ndarray:
     if len(data) - pos < need:
         raise PgmError(f"truncated pixel data, {len(data) - pos} of {need} bytes", len(data))
     pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
-    return pixels.reshape(height, width).copy()
+    return pixels.reshape(height, width)
 
 
 def write_pgm(img: np.ndarray, path: str | Path) -> Path:

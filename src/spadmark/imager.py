@@ -180,8 +180,10 @@ def json_record(path: str | Path):
     """Parse a JSON object record; return ``field(key, parse)``, which gives
     ``parse(payload[key])``. Bad UTF-8 or JSON, a non-object, a missing key or
     a value ``parse`` rejects raises ValueError naming the file (and field)."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        payload = json.loads(Path(path).read_bytes())
+        payload = json.loads(data)
     except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):

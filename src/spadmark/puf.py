@@ -10,12 +10,16 @@ stable device secret.
 A challenge is the (D, D) uint8 grid of address bytes built by
 ``features.challenge_matrix``; ``puf_query`` splits each byte into a map row
 (high nibble) and column (low nibble). An enrollment database holds one
-record per chip_id; ``load_enrollment_db`` rejects a duplicate.
+record per chip_id; ``load_enrollment_db`` rejects a duplicate. It keeps
+every record's maps packed, as stored, and its fingerprints as one matrix;
+a record's maps are unpacked only when the record itself is asked for.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -57,6 +61,37 @@ class EnrollmentRecord:
     rdcm_v: RelativeDCM
     fingerprint: Fingerprint
     enrollment_cfg: AcquisitionConfig
+
+    def pack(self) -> PackedRecord:
+        return PackedRecord(chip_id=self.chip_id, dim=self.rdcm_h.bits.shape[0],
+                            rdcm_h=pack_bits(self.rdcm_h.bits),
+                            rdcm_v=pack_bits(self.rdcm_v.bits),
+                            fingerprint=pack_bits(self.fingerprint.bits),
+                            enrollment_cfg=self.enrollment_cfg)
+
+
+@dataclass(frozen=True, slots=True)
+class PackedRecord:
+    """An enrollment record as stored: each dim x dim map is ceil(dim^2 / 8)
+    bytes, row-major, MSB first, with the padding bits zero."""
+
+    chip_id: str
+    dim: int
+    rdcm_h: bytes
+    rdcm_v: bytes
+    fingerprint: bytes
+    enrollment_cfg: AcquisitionConfig
+
+    def unpack(self) -> EnrollmentRecord:
+        def bits(packed: bytes) -> np.ndarray:
+            raw = np.frombuffer(packed, dtype=np.uint8)
+            return np.unpackbits(raw, count=self.dim * self.dim).reshape(self.dim, self.dim)
+        return EnrollmentRecord(
+            chip_id=self.chip_id,
+            rdcm_h=RelativeDCM(bits=bits(self.rdcm_h), direction=HORIZONTAL, chip_id=self.chip_id),
+            rdcm_v=RelativeDCM(bits=bits(self.rdcm_v), direction=VERTICAL, chip_id=self.chip_id),
+            fingerprint=Fingerprint(bits=bits(self.fingerprint), chip_id=self.chip_id),
+            enrollment_cfg=self.enrollment_cfg)
 
 
 @dataclass
@@ -151,20 +186,65 @@ def puf_query(record: EnrollmentRecord, challenge: np.ndarray,
 # Row-major bits, MSB-first within each hex digit. Lengths that are not a
 # multiple of 4 are zero-padded on the right and trimmed on parse.
 
+def pack_bits(bits: np.ndarray) -> bytes:
+    return np.packbits(np.asarray(bits, dtype=np.uint8).ravel()).tobytes()
+
+
 def bits_to_hex(bits: np.ndarray) -> str:
-    flat = np.asarray(bits, dtype=np.uint8).ravel()
-    return np.packbits(flat).tobytes().hex()
+    return pack_bits(bits).hex()
+
+
+def hex_to_packed(hexstr: str, n_bits: int) -> bytes:
+    """The first ``n_bits`` of a hex string, packed into ceil(n_bits / 8)
+    bytes; the padding bits of the last byte are cleared."""
+    raw = bytes.fromhex(hexstr)
+    if 8 * len(raw) < n_bits:
+        raise ValueError(f"hex string holds {8 * len(raw)} bits, expected {n_bits}")
+    size, pad = -(-n_bits // 8), -n_bits % 8
+    if pad:
+        return raw[:size - 1] + bytes([raw[size - 1] >> pad << pad])
+    return raw[:size]
 
 
 def hex_to_bits(hexstr: str, n_bits: int) -> np.ndarray:
-    raw = np.frombuffer(bytes.fromhex(hexstr), dtype=np.uint8)
-    bits = np.unpackbits(raw)
-    if bits.size < n_bits:
-        raise ValueError(f"hex string holds {bits.size} bits, expected {n_bits}")
-    return bits[:n_bits]
+    raw = np.frombuffer(hex_to_packed(hexstr, n_bits), dtype=np.uint8)
+    return np.unpackbits(raw, count=n_bits)
 
 
 # --- enrollment database ----------------------------------------------------
+
+MAPS = ("rdcm_h", "rdcm_v", "fingerprint")
+
+
+class EnrollmentDB:
+    """Packed enrollment records in chip_id order, chip_ids distinct.
+
+    ``fingerprints`` is one (N, W) uint8 matrix, row i the packed
+    fingerprint of the i-th record, zero-filled to the widest record's
+    W bytes; ``dims`` holds each record's map side. Iterating or ``record``
+    unpacks the maps.
+    """
+
+    def __init__(self, records: Iterable[PackedRecord]):
+        self._records = sorted(records, key=lambda r: r.chip_id)
+        self._rows = {r.chip_id: r for r in self._records}
+        if len(self._rows) != len(self._records):
+            raise ValueError("enrollment records must have distinct chip_ids")
+        self.chip_ids = list(self._rows)
+        self.dims = np.array([r.dim for r in self._records], dtype=np.int64)
+        width = max((len(r.fingerprint) for r in self._records), default=0)
+        rows = b"".join(r.fingerprint.ljust(width, b"\0") for r in self._records)
+        self.fingerprints = np.frombuffer(rows, dtype=np.uint8).reshape(len(self._records), width)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __iter__(self) -> Iterator[EnrollmentRecord]:
+        return (r.unpack() for r in self._records)
+
+    def record(self, chip_id: str) -> EnrollmentRecord:
+        return self._rows[chip_id].unpack()
+
 
 def enrollment_path(db_dir: str | Path, chip_id: str) -> Path:
     return Path(db_dir) / f"{chip_id}.enroll.json"
@@ -173,46 +253,57 @@ def enrollment_path(db_dir: str | Path, chip_id: str) -> Path:
 def save_enrollment(record: EnrollmentRecord, db_dir: str | Path) -> Path:
     path = enrollment_path(db_dir, record.chip_id)
     path.parent.mkdir(parents=True, exist_ok=True)
-    dim = record.rdcm_h.bits.shape[0]
+    packed = record.pack()
     payload = {
-        "chip_id": record.chip_id,
-        "array_dim": dim,
-        "acquisition": asdict(record.enrollment_cfg),
-        "rdcm_h": bits_to_hex(record.rdcm_h.bits),
-        "rdcm_v": bits_to_hex(record.rdcm_v.bits),
-        "fingerprint": bits_to_hex(record.fingerprint.bits),
+        "chip_id": packed.chip_id,
+        "array_dim": packed.dim,
+        "acquisition": asdict(packed.enrollment_cfg),
+        **{key: getattr(packed, key).hex() for key in MAPS},
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 
+def _array_dim(value) -> int:
+    # checked here: the maps stay packed, so no reshape would reject it
+    dim = int(value)
+    if dim < 0:
+        raise ValueError(f"must be >= 0, got {dim}")
+    return dim
+
+
+def _read_record(path: str | Path) -> PackedRecord:
+    """Parse and check one record file, keeping its maps packed; a malformed
+    file or field raises ValueError naming the file (and the field)."""
+    field = json_record(path)
+    dim = field("array_dim", _array_dim)
+    chip_id = field("chip_id", str)
+    maps = {key: field(key, lambda text: hex_to_packed(text, dim * dim)) for key in MAPS}
+    cfg = field("acquisition", lambda acquisition: AcquisitionConfig(**acquisition))
+    return PackedRecord(chip_id=chip_id, dim=dim, enrollment_cfg=cfg, **maps)
+
+
 def load_enrollment(path: str | Path) -> EnrollmentRecord:
     """Parse one record; a malformed file or field raises ValueError naming
     the file (and the field)."""
-    field = json_record(path)
-    dim = field("array_dim", int)
-    chip_id = field("chip_id", str)
-    bits = {key: field(key, lambda text: hex_to_bits(text, dim * dim).reshape(dim, dim))
-            for key in ("rdcm_h", "rdcm_v", "fingerprint")}
-    h = RelativeDCM(bits=bits["rdcm_h"], direction=HORIZONTAL, chip_id=chip_id)
-    v = RelativeDCM(bits=bits["rdcm_v"], direction=VERTICAL, chip_id=chip_id)
-    f = Fingerprint(bits=bits["fingerprint"], chip_id=chip_id)
-    cfg = field("acquisition", lambda acquisition: AcquisitionConfig(**acquisition))
-    return EnrollmentRecord(chip_id=chip_id, rdcm_h=h, rdcm_v=v,
-                            fingerprint=f, enrollment_cfg=cfg)
+    return _read_record(path).unpack()
 
 
-def load_enrollment_db(db_dir: str | Path) -> list[EnrollmentRecord]:
-    """All enrollment records in a directory, sorted by chip id. Two files
-    with one chip_id raise ValueError naming both: verify names its source
-    by chip_id, so it could not tell which record's maps to query."""
-    paths: dict[str, Path] = {}
+def load_enrollment_db(db_dir: str | Path) -> EnrollmentDB:
+    """Every ``*.enroll.json`` record in a directory, each fully checked.
+    A missing directory raises OSError. Two files with one chip_id raise
+    ValueError naming both: verify names its source by chip_id, so it could
+    not tell which record's maps to query."""
+    paths: dict[str, str] = {}
     records = []
-    for path in sorted(Path(db_dir).glob("*.enroll.json")):
-        record = load_enrollment(path)
+    for name in sorted(os.listdir(db_dir)):
+        if not name.endswith(".enroll.json"):
+            continue
+        path = os.path.join(db_dir, name)
+        record = _read_record(path)
         if record.chip_id in paths:
             raise ValueError(
                 f"{paths[record.chip_id]} and {path} both enroll chip_id {record.chip_id!r}")
         paths[record.chip_id] = path
         records.append(record)
-    return sorted(records, key=lambda r: r.chip_id)
+    return EnrollmentDB(records)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .codec import Watermark, WatermarkLayout, assemble, disassemble, extract_lsb
 from .features import FeatureConfig, challenge_matrix, downsample, feature_images, _check_gray
-from .puf import EnrollmentRecord, Fingerprint, puf_query
+from .puf import EnrollmentDB, EnrollmentRecord, Fingerprint, puf_query
 
 AUTHENTIC = "authentic"
 TAMPERED = "tampered"
@@ -102,24 +102,32 @@ def generate_watermark(img: np.ndarray, record: EnrollmentRecord,
     return assemble(challenge, response, record.fingerprint, layout)
 
 
-def identify_source(fp: Fingerprint, db: list[EnrollmentRecord],
+def identify_source(fp: Fingerprint, db: EnrollmentDB,
                     thresholds: Thresholds | None = None) -> tuple[str, float] | None:
     """Nearest enrolled fingerprint by fractional Hamming distance, or None
-    if nothing falls below the identification threshold."""
+    if nothing falls below the identification threshold.
+
+    Records whose maps differ in size from ``fp`` are skipped; a tie goes
+    to the first chip_id. One XOR and popcount over the packed fingerprint
+    matrix; popcount / P^2 equals ``hamming_frac`` exactly.
+    """
     thresholds = thresholds or Thresholds()
-    best: tuple[str, float] | None = None
-    for record in db:
-        if record.fingerprint.bits.shape != fp.bits.shape:
-            continue
-        distance = hamming_frac(record.fingerprint.bits, fp.bits)
-        if best is None or distance < best[1]:
-            best = (record.chip_id, distance)
-    if best is not None and best[1] < thresholds.tau_fingerprint:
-        return best
+    bits = np.asarray(fp.bits)
+    dim = bits.shape[0] if bits.ndim == 2 and bits.shape[0] == bits.shape[1] > 0 else -1
+    same_size = db.dims == dim
+    if not same_size.any():
+        return None
+    query = np.packbits(bits)
+    diff = db.fingerprints[:, :query.size] ^ query
+    counts = np.bitwise_count(diff, out=diff).sum(axis=1, dtype=np.int64)
+    best = int(np.argmin(np.where(same_size, counts, 8 * query.size + 1)))
+    distance = int(counts[best]) / bits.size
+    if distance < thresholds.tau_fingerprint:
+        return db.chip_ids[best], distance
     return None
 
 
-def verify(img: np.ndarray, db: list[EnrollmentRecord],
+def verify(img: np.ndarray, db: EnrollmentDB,
            cfg: FeatureConfig | None = None,
            layout: WatermarkLayout | None = None,
            thresholds: Thresholds | None = None,
@@ -152,7 +160,7 @@ def verify(img: np.ndarray, db: list[EnrollmentRecord],
                             verdict=UNKNOWN_SOURCE,
                             tamper_cells=tamper_cells)
 
-    record = next(rec for rec in db if rec.chip_id == best[0])
+    record = db.record(best[0])
     expected = puf_query(record, c_img, response_map=response_map)
     response_match = 1.0 - hamming_frac(
         np.concatenate([r_emb.r_h.ravel(), r_emb.r_v.ravel()]),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from spadmark import enroll, golden_acquisition, new_chip
+from spadmark import EnrollmentDB, enroll, golden_acquisition, new_chip
 
 # Hypothesis settings of the property tests. Parser fuzzing: each file
 # parser must return or raise ValueError, for any bytes. Numbers stay small:
@@ -83,6 +83,12 @@ def chips():
 def records(chips):
     return [enroll(chip, golden_acquisition(chip, rng_seed=100 + i))
             for i, chip in enumerate(chips)]
+
+
+@pytest.fixture(scope="session")
+def enrolled_db(records):
+    """``records`` as the database ``load_enrollment_db`` would return."""
+    return EnrollmentDB(record.pack() for record in records)
 
 
 @pytest.fixture(scope="session")

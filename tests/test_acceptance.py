@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from spadmark import (AcquisitionConfig, FeatureConfig, WatermarkLayout,
+from spadmark import (AcquisitionConfig, EnrollmentDB, FeatureConfig, WatermarkLayout,
                       acquire_dcm, assemble, disassemble, embed_lsb,
                       enroll, extract_lsb, generate_watermark,
                       golden_acquisition, hamming_frac, new_chip, psnr,
@@ -51,7 +51,7 @@ def test_criterion_1_quantizer_oracle_equivalence():
 
 def test_criterion_2_end_to_end_authenticity(tmp_path, records, host_images):
     failures = []
-    db = records[:3]
+    db = EnrollmentDB(record.pack() for record in records[:3])
     for i, img in enumerate(host_images):
         path = tmp_path / f"host{i}.pgm"
         write_pgm(img, path)
@@ -132,7 +132,7 @@ def test_criterion_4_temperature_resilience(chips):
             failures)
 
 
-def test_criterion_5_tamper_detection(records, host_images):
+def test_criterion_5_tamper_detection(records, enrolled_db, host_images):
     failures = []
     img = host_images[0]
     record = records[0]
@@ -143,7 +143,7 @@ def test_criterion_5_tamper_detection(records, host_images):
     patch = edited[256:288, 256:288].astype(np.int32)
     edited[256:288, 256:288] = np.clip(patch + 32, 0, 255).astype(np.uint8)
 
-    report = verify(edited, records)
+    report = verify(edited, enrolled_db)
     if report.verdict != TAMPERED:
         failures.append(f"verdict {report.verdict}")
     edited_cells = {(r, c) for r in range(32, 36) for c in range(32, 36)}

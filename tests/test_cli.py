@@ -145,6 +145,9 @@ def test_verify_unknown_source_exit_code(tmp_path):
      "field 'acquisition'"),
     (lambda rec: [rec], "expected a JSON object"),
     (lambda rec: b"{not json", "invalid JSON"),
+    # map fields are checked in full although the record is never matched
+    (lambda rec: {**rec, "rdcm_v": rec["rdcm_v"][:-2]}, "field 'rdcm_v': hex string holds"),
+    (lambda rec: {**rec, "rdcm_h": "zz" + rec["rdcm_h"][2:]}, "field 'rdcm_h': non-hexadecimal"),
 ])
 def test_verify_reports_malformed_record(tmp_path, capsys, corrupt, reason):
     db = _setup_db(tmp_path, n_chips=1)
@@ -163,6 +166,42 @@ def test_verify_reports_malformed_record(tmp_path, capsys, corrupt, reason):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert str(bad) in err[0] and reason in err[0]
+
+
+@pytest.mark.parametrize("make_db_dir", [
+    lambda tmp_path: tmp_path / "missing",
+    lambda tmp_path: write_pgm(make_image(0, 16), tmp_path / "a-file"),
+], ids=["missing", "file"])
+def test_verify_reports_unreadable_db_dir(tmp_path, capsys, make_db_dir):
+    # a mistyped --db-dir used to read as an empty database: exit 3, CSV written
+    db = _setup_db(tmp_path, n_chips=1)
+    img_path = tmp_path / "scene.pgm"
+    write_pgm(make_image(0), img_path)
+    out = tmp_path / "out"
+    assert main(["--db-dir", str(db), "mark", str(img_path), "--chip", "chip1",
+                 "--out-dir", str(out)]) == 0
+    db_dir = make_db_dir(tmp_path)
+    capsys.readouterr()
+    assert main(["--db-dir", str(db_dir), "verify", str(out / "scene.marked.pgm"),
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(db_dir) in err[0]
+    assert not (out / "scene.marked.verify.csv").exists()
+
+
+def test_verify_empty_db_dir_is_unknown_source(tmp_path):
+    db = _setup_db(tmp_path, n_chips=1)
+    img_path = tmp_path / "scene.pgm"
+    write_pgm(make_image(0), img_path)
+    out = tmp_path / "out"
+    assert main(["--db-dir", str(db), "mark", str(img_path), "--chip", "chip1",
+                 "--out-dir", str(out)]) == 0
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["--db-dir", str(empty), "verify", str(out / "scene.marked.pgm"),
+                 "--out-dir", str(out)]) == 3
+    row = (out / "scene.marked.verify.csv").read_text().splitlines()[1].split(",")
+    assert row[1] == "unknown-source" and row[4] == ""
 
 
 def test_verify_rejects_duplicate_chip_id(tmp_path, capsys):

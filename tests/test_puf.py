@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import suppress
 from dataclasses import asdict
 
@@ -206,6 +207,25 @@ def test_load_enrollment_db_sorted(tmp_path, chips):
         save_enrollment(enroll(chip, golden_acquisition(chip, rng_seed=1)), tmp_path)
     db = load_enrollment_db(tmp_path)
     assert [r.chip_id for r in db] == ["chip1", "chip2", "chip3"]
+
+
+def test_load_enrollment_db_keeps_maps_packed(tmp_path):
+    # per 64x64 record: three packed maps (1.5 KB), a fingerprint-matrix row
+    # (0.5 KB) and small objects, ~2.5 KB; unpacked to one byte a bit, the
+    # three maps alone were 12 KB
+    n = 20
+    for i in range(n):
+        chip = new_chip(f"c{i:02d}", i)
+        save_enrollment(enroll(chip, AcquisitionConfig(n_frames=1, rng_seed=i)), tmp_path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        db = load_enrollment_db(tmp_path)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(db) == n
+    assert kept / n < 4 * 1024
 
 
 @FUZZ

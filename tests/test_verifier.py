@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from spadmark import (FeatureConfig, Thresholds, WatermarkLayout,
+from spadmark import (EnrollmentDB, FeatureConfig, Fingerprint, Thresholds, WatermarkLayout,
                       add_gaussian_noise, assemble, disassemble, embed_lsb,
                       generate_watermark, hamming_frac, identify_source,
                       psnr, puf_query, robustness_sweep, sensitivity, verify)
@@ -141,20 +142,85 @@ def test_generate_cross_image_structure(records, host_images):
                         wm_1.bits[layout.challenge_slice]) > 0
 
 
-def test_identify_source(records):
-    hit = identify_source(records[2].fingerprint, records)
+def test_identify_source(records, enrolled_db):
+    hit = identify_source(records[2].fingerprint, enrolled_db)
     assert hit == ("chip3", 0.0)
     from spadmark import enroll, golden_acquisition, new_chip
     ghost = new_chip("ghost", 777)
     outsider = enroll(ghost, golden_acquisition(ghost))
-    assert identify_source(outsider.fingerprint, records) is None
-    assert identify_source(records[0].fingerprint, []) is None
+    assert identify_source(outsider.fingerprint, enrolled_db) is None
+    assert identify_source(records[0].fingerprint, EnrollmentDB([])) is None
 
 
-def test_verify_authentic_exact(records, host_images):
+def _reference_identify(fp_bits, rows, tau):
+    """The scan identify_source made before the packed matrix: a hamming_frac
+    loop over (chip_id, bits) rows in chip_id order, first minimum wins."""
+    best = None
+    for chip_id, bits in rows:
+        if bits.shape != fp_bits.shape:
+            continue
+        distance = hamming_frac(bits, fp_bits)
+        if best is None or distance < best[1]:
+            best = (chip_id, distance)
+    return best if best is not None and best[1] < tau else None
+
+
+@FUZZ
+@given(chip_ids=st.lists(st.text("abc", min_size=1, max_size=3), unique=True, max_size=6),
+       dims=st.lists(st.sampled_from([2, 3, 4, 5, 8]), min_size=1, max_size=3),
+       query_dim=st.sampled_from([2, 3, 4, 5, 8]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       tau=st.floats(0, 1, exclude_max=True))
+def test_identify_source_equals_reference_loop(tmp_path_factory, chip_ids, dims,
+                                               query_dim, seed, tau):
+    # Records are written as files and read by load_enrollment_db. Maps of
+    # 3x3 and 5x5 leave padding bits in the last byte; they and extra
+    # trailing bytes are set at random and must not count. Fingerprints are
+    # drawn from two per size with 0-2 bits flipped, so ties are common.
+    from spadmark import load_enrollment_db
+    rng = np.random.default_rng(seed)
+    pool = {d: rng.integers(0, 2, (2, d, d), dtype=np.uint8) for d in (2, 3, 4, 5, 8)}
+
+    def near(d):
+        bits = pool[d][rng.integers(2)].copy()
+        bits.flat[rng.integers(d * d, size=rng.integers(3))] ^= 1
+        return bits
+
+    def stored_hex(bits):
+        raw = bytearray(np.packbits(bits))
+        raw[-1] |= int(rng.integers(256)) & ((1 << (-bits.size % 8)) - 1)
+        return (bytes(raw) + rng.bytes(int(rng.integers(3)))).hex()
+
+    db_dir = tmp_path_factory.mktemp("db")
+    rows = []
+    for i, chip_id in enumerate(chip_ids):
+        d = dims[i % len(dims)]
+        fp = near(d)
+        maps = {key: stored_hex(rng.integers(0, 2, (d, d), dtype=np.uint8))
+                for key in ("rdcm_h", "rdcm_v")}
+        (db_dir / f"{i}.enroll.json").write_text(json.dumps(
+            {"chip_id": chip_id, "array_dim": d, "acquisition": {},
+             "fingerprint": stored_hex(fp), **maps}))
+        rows.append((chip_id, fp))
+    rows.sort(key=lambda row: row[0])
+    db = load_enrollment_db(db_dir)
+    query = Fingerprint(bits=near(query_dim), chip_id="")
+
+    nearest = _reference_identify(query.bits, rows, 1.0)
+    taus = [tau] + ([nearest[1], np.nextafter(nearest[1], 1.0)] if nearest else [])
+    for t in taus:
+        if t < 1:
+            assert identify_source(query, db, Thresholds(tau_fingerprint=t)) == \
+                _reference_identify(query.bits, rows, t)
+    if nearest:   # a tau equal to the distance rejects it; the next float up accepts
+        assert identify_source(query, db, Thresholds(tau_fingerprint=nearest[1])) is None
+        assert np.array_equal(db.record(nearest[0]).fingerprint.bits, dict(rows)[nearest[0]])
+
+
+def test_verify_authentic_exact(records, enrolled_db, host_images):
     wm = generate_watermark(host_images[0], records[0])
     marked = embed_lsb(host_images[0], wm)
-    report = verify(marked, records)
+    report = verify(marked, enrolled_db)
     assert report.verdict == AUTHENTIC
     assert report.challenge_match_frac == 1.0
     assert report.response_match_frac == 1.0
@@ -162,36 +228,36 @@ def test_verify_authentic_exact(records, host_images):
     assert report.tamper_cells == []
 
 
-def test_verify_forged_responses(records, host_images):
+def test_verify_forged_responses(records, enrolled_db, host_images):
     # keep chip1's fingerprint but answer the challenge with chip2's maps
     wm = generate_watermark(host_images[0], records[0])
     challenge, _, _ = disassemble(wm)
     forged = assemble(challenge, puf_query(records[1], challenge),
                       records[0].fingerprint, wm.layout)
-    report = verify(embed_lsb(host_images[0], forged), records)
+    report = verify(embed_lsb(host_images[0], forged), enrolled_db)
     assert report.verdict == TAMPERED
     assert report.challenge_match_frac == 1.0
     assert report.response_match_frac < 0.95
     assert report.fingerprint_best_match == ("chip1", 0.0)
 
 
-def test_verify_unknown_source(records, host_images):
+def test_verify_unknown_source(records, enrolled_db, host_images):
     from spadmark import enroll, golden_acquisition, new_chip
     ghost = enroll(new_chip("ghost", 999), golden_acquisition(new_chip("ghost", 999)))
     wm = generate_watermark(host_images[0], ghost)
-    report = verify(embed_lsb(host_images[0], wm), records)
+    report = verify(embed_lsb(host_images[0], wm), enrolled_db)
     assert report.verdict == UNKNOWN_SOURCE
     assert report.fingerprint_best_match is None
     assert report.response_match_frac == 0.0
 
 
-def test_verify_patch_edit(records, host_images):
+def test_verify_patch_edit(records, enrolled_db, host_images):
     wm = generate_watermark(host_images[0], records[0])
     marked = embed_lsb(host_images[0], wm)
     edited = marked.copy()
     patch = edited[256:288, 256:288].astype(np.int32)
     edited[256:288, 256:288] = np.clip(patch + 32, 0, 255).astype(np.uint8)
-    report = verify(edited, records)
+    report = verify(edited, enrolled_db)
     assert report.verdict == TAMPERED
     assert report.challenge_match_frac < 1.0
     expected_cells = {(r, c) for r in range(32, 36) for c in range(32, 36)}
@@ -302,12 +368,12 @@ def test_robustness_sweep_downsamples_each_image_once(records, host_images, monk
     assert len(calls) == 1 + len(sigmas) * len(seeds)
 
 
-def test_report_bitmaps(records, host_images):
+def test_report_bitmaps(records, enrolled_db, host_images):
     wm = generate_watermark(host_images[0], records[0])
     bitmap = watermark_bitmap(wm)
     assert bitmap.dtype == np.uint8
     assert set(np.unique(bitmap)) <= {0, 255}
     assert bitmap.shape == (128, 512)
-    report = verify(embed_lsb(host_images[0], wm), records)
+    report = verify(embed_lsb(host_images[0], wm), enrolled_db)
     tmap = tamper_bitmap(report, 64)
     assert tmap.shape == (64, 64) and not tmap.any()
