@@ -11,7 +11,7 @@ to identify the source.
 from .imager import (AcquisitionConfig, ChipModel, ChipParams, DarkCountMap,
                      acquire_dcm, dcr_at, dcr_map, load_chip, new_chip, save_chip)
 from .puf import (HORIZONTAL, VERTICAL, EnrollmentDB, EnrollmentRecord,
-                  Fingerprint, PackedRecord, RelativeDCM, ResponsePair, enroll, fingerprint,
+                  Fingerprint, RelativeDCM, ResponsePair, enroll, fingerprint,
                   golden_acquisition, load_enrollment, load_enrollment_db,
                   puf_query, rdcm, save_enrollment)
 from .features import FeatureConfig, challenge_matrix, downsample, feature_images

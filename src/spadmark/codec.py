@@ -186,6 +186,7 @@ def read_pgm(path: str | Path) -> np.ndarray:
     with open(path, "rb") as f:
         data = bytearray(os.fstat(f.fileno()).st_size)
         del data[f.readinto(data):]
+        data += f.read()    # a pipe reports size 0
     magic, pos = _next_token(data, 0)
     if magic != b"P5":
         raise PgmError(f"not a binary PGM, magic {magic!r}", pos - len(magic))

@@ -1,3 +1,5 @@
+import os
+import threading
 from contextlib import suppress
 
 import numpy as np
@@ -170,6 +172,31 @@ def test_pgm_comments_and_trailing_bytes(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# a comment\n2 # width\n1\n# more\n255\n" + bytes([9, 8]) + b"\n")
     assert np.array_equal(read_pgm(path), [[9, 8]])
+
+
+def test_read_pgm_makes_no_copies(tmp_path):
+    img = np.random.default_rng(5).integers(0, 256, (1024, 1024), dtype=np.uint8)
+    path = write_pgm(img, tmp_path / "big.pgm")
+    # 2 bytes per pixel when the pixels were copied out of the file's bytes
+    assert traced_peak_bytes(lambda: read_pgm(path)) / img.size < 1.5
+    pixels = read_pgm(path)
+    assert np.array_equal(pixels, img) and pixels.flags.writeable
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_pgm_from_pipe(tmp_path):
+    # a pipe reports size 0, so the file size cannot size the buffer alone
+    img = np.random.default_rng(3).integers(0, 256, (300, 300), dtype=np.uint8)
+    raw = write_pgm(img, tmp_path / "img.pgm").read_bytes()
+    fifo = tmp_path / "fifo.pgm"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(raw,))
+    writer.start()
+    try:
+        assert np.array_equal(read_pgm(fifo), img)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_pgm_errors(tmp_path):

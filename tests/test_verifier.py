@@ -207,14 +207,16 @@ def test_identify_source_equals_reference_loop(tmp_path_factory, chip_ids, dims,
     query = Fingerprint(bits=near(query_dim), chip_id="")
 
     nearest = _reference_identify(query.bits, rows, 1.0)
-    taus = [tau] + ([nearest[1], np.nextafter(nearest[1], 1.0)] if nearest else [])
+    taus = [tau]
+    if nearest:
+        assert np.array_equal(db.record(nearest[0]).fingerprint.bits, dict(rows)[nearest[0]])
+        if nearest[1] < 1:   # a tau equal to the distance rejects it, one float up accepts
+            taus += [nearest[1], np.nextafter(nearest[1], 1.0)]
+            assert identify_source(query, db, Thresholds(tau_fingerprint=nearest[1])) is None
     for t in taus:
         if t < 1:
             assert identify_source(query, db, Thresholds(tau_fingerprint=t)) == \
                 _reference_identify(query.bits, rows, t)
-    if nearest:   # a tau equal to the distance rejects it; the next float up accepts
-        assert identify_source(query, db, Thresholds(tau_fingerprint=nearest[1])) is None
-        assert np.array_equal(db.record(nearest[0]).fingerprint.bits, dict(rows)[nearest[0]])
 
 
 def test_verify_authentic_exact(records, enrolled_db, host_images):
