@@ -226,24 +226,24 @@ class EnrollmentDB:
     """
 
     def __init__(self, records: Iterable[PackedRecord]):
-        self._records = sorted(records, key=lambda r: r.chip_id)
-        self._rows = {r.chip_id: r for r in self._records}
-        if len(self._rows) != len(self._records):
+        ordered = sorted(records, key=lambda r: r.chip_id)
+        self._records = {r.chip_id: r for r in ordered}
+        if len(self._records) != len(ordered):
             raise ValueError("enrollment records must have distinct chip_ids")
-        self.chip_ids = list(self._rows)
-        self.dims = np.array([r.dim for r in self._records], dtype=np.int64)
-        width = max((len(r.fingerprint) for r in self._records), default=0)
-        rows = b"".join(r.fingerprint.ljust(width, b"\0") for r in self._records)
-        self.fingerprints = np.frombuffer(rows, dtype=np.uint8).reshape(len(self._records), width)
+        self.chip_ids = list(self._records)
+        self.dims = np.array([r.dim for r in ordered], dtype=np.int64)
+        width = max((len(r.fingerprint) for r in ordered), default=0)
+        rows = b"".join(r.fingerprint.ljust(width, b"\0") for r in ordered)
+        self.fingerprints = np.frombuffer(rows, dtype=np.uint8).reshape(len(ordered), width)
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __iter__(self) -> Iterator[EnrollmentRecord]:
-        return (r.unpack() for r in self._records)
+        return (r.unpack() for r in self._records.values())
 
     def record(self, chip_id: str) -> EnrollmentRecord:
-        return self._rows[chip_id].unpack()
+        return self._records[chip_id].unpack()
 
 
 def enrollment_path(db_dir: str | Path, chip_id: str) -> Path:

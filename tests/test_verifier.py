@@ -150,6 +150,8 @@ def test_identify_source(records, enrolled_db):
     outsider = enroll(ghost, golden_acquisition(ghost))
     assert identify_source(outsider.fingerprint, enrolled_db) is None
     assert identify_source(records[0].fingerprint, EnrollmentDB([])) is None
+    with pytest.raises(ValueError, match="distinct chip_ids"):
+        EnrollmentDB([records[0].pack(), records[0].pack()])
 
 
 def _reference_identify(fp_bits, rows, tau):
