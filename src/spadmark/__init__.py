@@ -9,7 +9,7 @@ to identify the source.
 """
 
 from .imager import (AcquisitionConfig, ChipModel, ChipParams, DarkCountMap,
-                     acquire_dcm, dcr_at, dcr_map, load_chip, new_chip, save_chip)
+                     acquire_dcm, dcr_map, load_chip, new_chip, save_chip)
 from .puf import (HORIZONTAL, VERTICAL, EnrollmentDB, EnrollmentRecord,
                   Fingerprint, RelativeDCM, ResponsePair, enroll, fingerprint,
                   golden_acquisition, load_enrollment, load_enrollment_db,

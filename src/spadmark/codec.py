@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import _check_gray
+from .features import L, _check_gray
 from .puf import Fingerprint, ResponsePair, bits_to_hex, hex_to_bits
 
 
@@ -25,19 +25,16 @@ class WatermarkLayout:
 
     grid_dim: int = 64          # challenge grid side (D)
     puf_dim: int = 64           # relative-map side (P)
-    planes: int = 8             # feature planes (L); fixes 8 bits per cell
 
     def __post_init__(self) -> None:
         if self.grid_dim < 1:
             raise ValueError(f"grid_dim must be >= 1, got {self.grid_dim}")
         if self.puf_dim < 2:
             raise ValueError(f"puf_dim must be >= 2, got {self.puf_dim}")
-        if self.planes != 8:
-            raise ValueError(f"nibble addressing requires planes = 8, got {self.planes}")
 
     @property
     def challenge_bits(self) -> int:
-        return self.grid_dim * self.grid_dim * self.planes
+        return self.grid_dim * self.grid_dim * L     # one address byte per cell
 
     @property
     def response_bits(self) -> int:
@@ -227,7 +224,7 @@ def save_watermark(wm: Watermark, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     layout = wm.layout
-    header = f"wm v1 D={layout.grid_dim} P={layout.puf_dim} L={layout.planes}"
+    header = f"wm v1 D={layout.grid_dim} P={layout.puf_dim} L={L}"
     path.write_text(header + "\n" + bits_to_hex(wm.bits) + "\n")
     return path
 
@@ -239,8 +236,9 @@ def load_watermark(path: str | Path) -> Watermark:
     fields = dict(part.split("=", 1) for part in lines[0].split()[2:])
     if not {"D", "P", "L"} <= fields.keys():
         raise ValueError(f"{path}: header needs D=, P= and L=, got {lines[0]!r}")
-    layout = WatermarkLayout(grid_dim=int(fields["D"]), puf_dim=int(fields["P"]),
-                             planes=int(fields["L"]))
+    if fields["L"] != str(L):
+        raise ValueError(f"{path}: nibble addressing requires L={L}, got {lines[0]!r}")
+    layout = WatermarkLayout(grid_dim=int(fields["D"]), puf_dim=int(fields["P"]))
     if len(lines) < 2:
         raise ValueError(f"{path}: missing bit payload")
     return Watermark(bits=hex_to_bits(lines[1], layout.total_bits), layout=layout)

@@ -1,28 +1,28 @@
 """Intensity-band feature planes and challenge-address construction.
 
-Every challenge is built in one sequence: clear the host's LSB plane at
-full resolution, block-average to the challenge grid (``downsample``, called
-by ``verifier.challenge_grid``), clear the grid's LSB and quantize each cell
-into L binary band planes (``feature_images``), then pack each cell's 8
-planes into one address byte (``challenge_matrix``): planes 1-4 form the
-high nibble, the row of the relative maps, and planes 5-8 the low nibble,
-the column. That (D, D) uint8 array of address bytes is the challenge in
-every layer: ``puf.puf_query`` splits each byte into its row and column,
-and the watermark payload carries the bytes as they are.
-
-The second LSB clear, on the grid, is not redundant: a block mean can be
-odd, and clearing the LSB of a mean one above a band edge (33, 65, ...)
-moves that cell into the lower band. Serialized watermarks depend on it.
+Every challenge is built in one sequence: ``verifier.challenge_grid``
+clears the host's LSB plane, block-averages to the challenge grid
+(``downsample``) and clears the grid's LSB plane; ``feature_images`` then
+quantizes each cell into L = 8 binary band planes, and ``challenge_matrix``
+packs each cell's 8 planes into one address byte: planes 1-4 form the high
+nibble, the row of the relative maps, and planes 5-8 the low nibble, the
+column. That (D, D) uint8 array of address bytes is the challenge in every
+layer: ``puf.puf_query`` splits each byte into its row and column, and the
+watermark payload carries the bytes as they are. Both LSB clears live in
+``challenge_grid``, which says why each is needed; the quantizer here sees
+every level as it is given.
 
 Plane i is computed with a nested signum expression
 
     plane_i = sign(sign(256/L * i - I) + 1) - sign(sum of planes 1..i-1)
 
 using sign(0) = 0, which makes each band upper-inclusive: plane 1 covers
-[0, 32] and plane 8 covers (224, 255] at the defaults. An overlap > 0
-selects double thresholds: a pixel within overlap/2 of an internal band
-boundary is additionally marked in the neighboring plane, trading edit
-sensitivity for noise immunity the way a Schmitt trigger does.
+[0, 32] and plane 8 covers (224, 255]. An overlap > 0 selects double
+thresholds: a pixel within overlap/2 of an internal band boundary is
+additionally marked in the neighboring plane, trading edit sensitivity for
+noise immunity the way a Schmitt trigger does. The overlap is the one
+setting of the quantizer; L and the band width are fixed by the nibble
+addressing.
 """
 
 from __future__ import annotations
@@ -31,25 +31,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-INTENSITY_RANGE = 256  # 8-bit images only
+INTENSITY_RANGE = 256        # 8-bit images only
+L = 8                        # band planes: the two nibbles of one address byte
+BAND = INTENSITY_RANGE // L  # band width, intensity units
 
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Quantizer settings: plane count, overlap (> 0: double thresholds), LSB mask."""
+    """Quantizer setting: the band overlap (> 0: double thresholds)."""
 
-    L: int = 8
     overlap: float = 0.0        # total width of the desensitized band, intensity units
-    lsb_mask: bool = True       # quantize with the LSB plane cleared
 
     def __post_init__(self) -> None:
-        if self.L < 2 or self.L % 2 != 0:
-            raise ValueError(f"L must be even and >= 2, got {self.L}")
-        if INTENSITY_RANGE % self.L != 0:
-            raise ValueError(f"L must divide {INTENSITY_RANGE}, got {self.L}")
-        if self.overlap < 0 or self.overlap >= INTENSITY_RANGE / self.L:
-            raise ValueError(
-                f"overlap must be in [0, {INTENSITY_RANGE // self.L}), got {self.overlap}")
+        if self.overlap < 0 or self.overlap >= BAND:
+            raise ValueError(f"overlap must be in [0, {BAND}), got {self.overlap}")
 
 
 def _check_gray(img: np.ndarray) -> np.ndarray:
@@ -68,22 +63,18 @@ def _check_gray(img: np.ndarray) -> np.ndarray:
 def feature_images(img: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     """Quantize an image into L binary band-membership planes, stacked as a
     (L, height, width) uint8 array."""
-    pixels = _check_gray(img)
-    if cfg.lsb_mask:
-        pixels = pixels & 0xFE
-    level = pixels.astype(np.int32)
-    band = INTENSITY_RANGE // cfg.L
-    planes = np.zeros((cfg.L,) + level.shape, dtype=np.uint8)
+    level = _check_gray(img).astype(np.int32)
+    planes = np.zeros((L,) + level.shape, dtype=np.uint8)
     assigned = np.zeros_like(level)
-    for i in range(1, cfg.L + 1):
-        above = np.sign(np.sign(band * i - level) + 1)
+    for i in range(1, L + 1):
+        above = np.sign(np.sign(BAND * i - level) + 1)
         plane = above - np.sign(assigned)
         planes[i - 1] = plane
         assigned += plane
     if cfg.overlap > 0:
         half = cfg.overlap / 2.0
-        for t in range(1, cfg.L):
-            zone = np.abs(level - band * t) <= half
+        for t in range(1, L):
+            zone = np.abs(level - BAND * t) <= half
             planes[t - 1][zone] = 1
             planes[t][zone] = 1
     return planes

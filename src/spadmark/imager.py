@@ -142,22 +142,13 @@ def new_chip(chip_id: str, seed: int, params: ChipParams | None = None) -> ChipM
 
 
 def dcr_map(chip: ChipModel, temperature: float) -> np.ndarray:
-    """Full-array dark count rates (counts/s) at the given temperature."""
-    exponent = (temperature - chip.params.ref_temp) / chip.doubling_temp
-    return chip.dcr_ref * 2.0 ** exponent
+    """Full-array dark count rates (counts/s) at the given temperature.
 
-
-def dcr_at(chip: ChipModel, row: int, col: int, temperature: float) -> float:
-    """Dark count rate of one pixel at the given temperature.
-
-    Rate doubles every ``doubling_temp[row, col]`` degrees above the
+    Each pixel's rate doubles every ``doubling_temp`` degrees above the
     reference temperature and halves symmetrically below it.
     """
-    dim = chip.params.array_dim
-    if not (0 <= row < dim and 0 <= col < dim):
-        raise IndexError(f"pixel ({row}, {col}) outside {dim}x{dim} array")
-    exponent = (temperature - chip.params.ref_temp) / chip.doubling_temp[row, col]
-    return float(chip.dcr_ref[row, col] * 2.0 ** exponent)
+    exponent = (temperature - chip.params.ref_temp) / chip.doubling_temp
+    return chip.dcr_ref * 2.0 ** exponent
 
 
 def acquire_dcm(chip: ChipModel, cfg: AcquisitionConfig) -> DarkCountMap:

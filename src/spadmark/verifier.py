@@ -12,6 +12,9 @@ up as response mismatches.
 
 Marking, verification and the robustness sweep build every challenge the
 same way: ``challenge_grid``, then ``image_challenge`` (see ``features``).
+``challenge_grid`` is the one place that clears LSBs, twice: on the host at
+full resolution, so the payload cannot leak into the block means, and on
+the grid, because the served watermark bytes were defined with that clear.
 """
 
 from __future__ import annotations
@@ -70,23 +73,23 @@ def hamming_frac(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(a != b))
 
 
-def challenge_grid(img: np.ndarray, cfg: FeatureConfig, grid_dim: int) -> np.ndarray:
-    """Block-mean grid of an image with its LSB plane cleared first.
+def challenge_grid(img: np.ndarray, grid_dim: int) -> np.ndarray:
+    """Block-mean grid of an image, with the LSB plane cleared before and
+    after the block mean: the challenge ignores the LSB plane.
 
-    The LSB plane is cleared at full resolution, before the block mean;
-    otherwise payload bits would leak into the means and the recomputed
-    challenge of a marked image would not be bit-identical to the
-    original's.
+    The first clear, at full resolution, keeps the payload bits out of the
+    means, so the recomputed challenge of a marked image is bit-identical
+    to the original's. The second, on the grid, is not redundant: a block
+    mean can be odd, and clearing the LSB of a mean one above a band edge
+    (33, 65, ...) moves that cell into the lower band. Served watermarks
+    depend on it.
     """
-    pixels = _check_gray(img)
-    if cfg.lsb_mask:
-        pixels = pixels & 0xFE
-    return downsample(pixels, grid_dim)
+    return downsample(_check_gray(img) & 0xFE, grid_dim) & 0xFE
 
 
 def image_challenge(img: np.ndarray, cfg: FeatureConfig, grid_dim: int) -> np.ndarray:
-    """Challenge address bytes for an image: mask LSBs, downsample, quantize."""
-    return challenge_matrix(feature_images(challenge_grid(img, cfg, grid_dim), cfg))
+    """Challenge address bytes for an image: ``challenge_grid``, then quantize."""
+    return challenge_matrix(feature_images(challenge_grid(img, grid_dim), cfg))
 
 
 def generate_watermark(img: np.ndarray, record: EnrollmentRecord,
@@ -149,8 +152,11 @@ def verify(img: np.ndarray, db: EnrollmentDB,
     c_emb, r_emb, f_emb = disassemble(embedded)
     c_img = image_challenge(img, cfg, layout.grid_dim)
 
-    challenge_match = 1.0 - hamming_frac(np.unpackbits(c_emb), np.unpackbits(c_img))
-    tamper_cells = [(int(r), int(c)) for r, c in np.argwhere(c_emb != c_img)]
+    c_diff = c_emb ^ c_img
+    # popcount / bits equals hamming_frac of the unpacked bits exactly
+    c_flips = int(np.bitwise_count(c_diff).sum(dtype=np.int64))
+    challenge_match = 1.0 - c_flips / (8 * c_diff.size)
+    tamper_cells = [(int(r), int(c)) for r, c in np.argwhere(c_diff)]
 
     best = identify_source(f_emb, db, thresholds)
     if best is None:
@@ -212,41 +218,44 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return 10.0 * math.log10(255.0 ** 2 / (sse / x.size))
 
 
-def content_bits(wm: Watermark) -> np.ndarray:
-    """Challenge + response bits; the image-dependent part of the watermark."""
-    n = wm.layout.challenge_bits + 2 * wm.layout.response_bits
-    return wm.bits[:n]
-
-
-def tolerant_flip_frac(clean: np.ndarray, noisy: np.ndarray,
-                       record: EnrollmentRecord, overlap: float,
-                       layout: WatermarkLayout) -> float:
+def tolerant_flip_frac(clean: np.ndarray, noisy: list[np.ndarray],
+                       record: EnrollmentRecord, overlaps: list[float],
+                       layout: WatermarkLayout) -> np.ndarray:
     """Challenge+response bit flips, desensitized by the band overlap.
 
-    ``clean`` and ``noisy`` are the ``challenge_grid`` of each image.
-    A grid cell only counts as flipped when its noisy band memberships share
-    no plane with the clean ones, i.e. the noisy value escaped the clean
-    band widened by overlap/2 on each side (the comparator-with-hysteresis
-    behavior the overlap exists to provide). Flipped cells are charged their
-    single-threshold bit difference: the challenge address bits plus the two
-    response lookups. With overlap 0 this is exactly the plain Hamming
-    fraction over the challenge and response blocks; wider overlaps can
-    only remove flip events, never add them, because memberships grow with
-    the overlap.
+    ``clean`` and each of ``noisy`` are the ``challenge_grid`` of an image;
+    the result holds the flip fraction of every noisy grid (columns) at
+    every overlap (rows). A grid cell only counts as flipped when its noisy
+    band memberships share no plane with the clean ones, i.e. the noisy
+    value escaped the clean band widened by overlap/2 on each side (the
+    comparator-with-hysteresis behavior the overlap exists to provide).
+    Flipped cells are charged their single-threshold bit difference: the
+    challenge address bits plus the two response lookups. With overlap 0
+    this is exactly the plain Hamming fraction over the challenge and
+    response blocks; wider overlaps can only remove flip events, never add
+    them, because memberships grow with the overlap. Each grid's challenge,
+    responses and overlap planes are built once.
     """
-    cfg = FeatureConfig(overlap=overlap)
-    consistent = np.any(feature_images(clean, cfg) & feature_images(noisy, cfg), axis=0)
-
-    c_clean = challenge_matrix(feature_images(clean, FeatureConfig()))
-    c_noisy = challenge_matrix(feature_images(noisy, FeatureConfig()))
-    c_diff = np.unpackbits((c_clean ^ c_noisy)[..., None], axis=-1).sum(axis=-1)
+    single = FeatureConfig()
+    c_clean = challenge_matrix(feature_images(clean, single))
     resp_clean = puf_query(record, c_clean)
-    resp_noisy = puf_query(record, c_noisy)
-    r_diff = ((resp_clean.r_h != resp_noisy.r_h).astype(np.int64)
-              + (resp_clean.r_v != resp_noisy.r_v).astype(np.int64))
+    charges = []
+    for grid in noisy:
+        c_noisy = challenge_matrix(feature_images(grid, single))
+        resp_noisy = puf_query(record, c_noisy)
+        charges.append(np.bitwise_count(c_clean ^ c_noisy)
+                       + (resp_clean.r_h != resp_noisy.r_h)
+                       + (resp_clean.r_v != resp_noisy.r_v))
 
-    flips = np.where(consistent, 0, c_diff + r_diff).sum()
-    return float(flips) / (layout.challenge_bits + 2 * layout.response_bits)
+    total = layout.challenge_bits + 2 * layout.response_bits
+    flips = np.zeros((len(overlaps), len(noisy)))
+    for i, overlap in enumerate(overlaps):
+        cfg = FeatureConfig(overlap=overlap)
+        clean_planes = feature_images(clean, cfg)
+        for j, grid in enumerate(noisy):
+            consistent = np.any(clean_planes & feature_images(grid, cfg), axis=0)
+            flips[i, j] = int(charges[j][~consistent].sum()) / total
+    return flips
 
 
 def robustness_sweep(img: np.ndarray, record: EnrollmentRecord,
@@ -264,17 +273,14 @@ def robustness_sweep(img: np.ndarray, record: EnrollmentRecord,
     if not seeds:
         raise ValueError("need at least one noise seed")
     layout = layout or WatermarkLayout(puf_dim=record.fingerprint.bits.shape[0])
-    cfg, d = FeatureConfig(), layout.grid_dim
-    clean = challenge_grid(img, cfg, d)
-    noisy_grids = {(sigma, seed): challenge_grid(add_gaussian_noise(img, sigma, seed), cfg, d)
-                   for sigma in sigmas for seed in seeds}
-    table = []
-    for overlap in overlaps:
-        for sigma in sigmas:
-            flips = [tolerant_flip_frac(clean, noisy_grids[(sigma, seed)],
-                                        record, overlap, layout)
-                     for seed in seeds]
-            table.append((float(sigma), float(overlap), float(np.mean(flips))))
+    d = layout.grid_dim
+    clean = challenge_grid(img, d)
+    noisy = [challenge_grid(add_gaussian_noise(img, sigma, seed), d)
+             for sigma in sigmas for seed in seeds]
+    flips = tolerant_flip_frac(clean, noisy, record, overlaps, layout).reshape(
+        len(overlaps), len(sigmas), len(seeds))
+    table = [(float(sigma), float(overlap), float(np.mean(flips[i, j])))
+             for i, overlap in enumerate(overlaps) for j, sigma in enumerate(sigmas)]
     table.sort(key=lambda row: (row[0], row[1]))
     return table
 

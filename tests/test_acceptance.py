@@ -38,7 +38,7 @@ def test_criterion_1_quantizer_oracle_equivalence():
     failures = []
     from spadmark import feature_images
     planes = feature_images(np.arange(256, dtype=np.uint8).reshape(1, 256),
-                            FeatureConfig(lsb_mask=False))[:, 0, :]
+                            FeatureConfig())[:, 0, :]
     for value in range(256):
         active = np.nonzero(planes[:, value])[0]
         if active.size != 1:

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spadmark
 from spadmark import read_pgm, write_pgm
 from spadmark.cli import main
 from conftest import make_image
@@ -187,6 +191,20 @@ def test_verify_reports_unreadable_db_dir(tmp_path, capsys, make_db_dir):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and str(db_dir) in err[0]
     assert not (out / "scene.marked.verify.csv").exists()
+
+
+def test_module_entry_point_reports_one_line(tmp_path):
+    # through run() and sys.exit, as the installed ``wm`` script runs
+    (tmp_path / "db").mkdir()
+    missing = tmp_path / "missing.pgm"
+    env = dict(os.environ, PYTHONPATH=str(Path(spadmark.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "spadmark.cli", "--db-dir", str(tmp_path / "db"),
+                           "verify", str(missing)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and str(missing) in err[0]
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_empty_db_dir_is_unknown_source(tmp_path):

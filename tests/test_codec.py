@@ -49,8 +49,6 @@ def test_layout_slices_partition():
 
 def test_layout_validation():
     with pytest.raises(ValueError):
-        WatermarkLayout(planes=4)
-    with pytest.raises(ValueError):
         WatermarkLayout(grid_dim=0)
     with pytest.raises(ValueError):
         WatermarkLayout(puf_dim=1)
@@ -266,6 +264,9 @@ def test_sidecar_rejects_garbage(tmp_path):
         load_watermark(path)
     path.write_text("wm v1 D=64 L=8\n00\n")
     with pytest.raises(ValueError, match="D=, P= and L="):
+        load_watermark(path)
+    path.write_text("wm v1 D=64 P=64 L=4\n00\n")
+    with pytest.raises(ValueError, match="bad.txt: nibble addressing requires L=8"):
         load_watermark(path)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spadmark import FeatureConfig, challenge_matrix, downsample, feature_images
+from spadmark.verifier import challenge_grid, image_challenge
 
 ALL_LEVELS = np.arange(256, dtype=np.uint8).reshape(1, 256)
 
@@ -19,35 +20,31 @@ def _memberships(cfg: FeatureConfig) -> np.ndarray:
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        FeatureConfig(L=3)
-    with pytest.raises(ValueError):
-        FeatureConfig(L=0)
-    with pytest.raises(ValueError):
-        FeatureConfig(L=6)        # does not divide 256
-    with pytest.raises(ValueError):
         FeatureConfig(overlap=-1)
     with pytest.raises(ValueError):
         FeatureConfig(overlap=32)
 
 
 def test_single_mode_matches_band_oracle():
-    planes = _memberships(FeatureConfig(lsb_mask=False))
+    planes = _memberships(FeatureConfig())
     for value in range(256):
         active = np.nonzero(planes[:, value])[0]
         assert active.size == 1
         assert active[0] + 1 == band_oracle(value)
 
 
-def test_lsb_mask_shifts_oracle_input():
-    planes = _memberships(FeatureConfig(lsb_mask=True))
+def test_challenge_grid_shifts_oracle_input():
+    # every level as one constant 2x2 block of a 16x16 grid
+    levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    img = np.repeat(np.repeat(levels, 2, axis=0), 2, axis=1)
+    assert np.array_equal(challenge_grid(img, 16), levels & 0xFE)
+    addrs = image_challenge(img, FeatureConfig(), 16).ravel()
     for value in range(256):
-        active = np.nonzero(planes[:, value])[0]
-        assert active.size == 1
-        assert active[0] + 1 == band_oracle(value & 0xFE)
+        assert addrs[value] == 0x80 >> (band_oracle(value & 0xFE) - 1)
 
 
 def test_band_edge_examples():
-    planes = _memberships(FeatureConfig(lsb_mask=False))
+    planes = _memberships(FeatureConfig())
     assert np.array_equal(np.nonzero(planes[:, 0])[0], [0])      # plane 1 only
     assert np.array_equal(np.nonzero(planes[:, 32])[0], [0])     # boundary inclusive
     assert np.array_equal(np.nonzero(planes[:, 33])[0], [1])
@@ -55,7 +52,7 @@ def test_band_edge_examples():
 
 
 def test_double_mode_overlap_examples():
-    planes = _memberships(FeatureConfig(overlap=6, lsb_mask=False))
+    planes = _memberships(FeatureConfig(overlap=6))
     assert np.array_equal(np.nonzero(planes[:, 30])[0], [0, 1])  # |30-32| <= 3
     assert np.array_equal(np.nonzero(planes[:, 35])[0], [0, 1])
     assert np.array_equal(np.nonzero(planes[:, 36])[0], [1])
@@ -75,19 +72,30 @@ def test_lsb_plane_is_ignored_when_masked():
     rng = np.random.default_rng(5)
     img = rng.integers(0, 256, (32, 32)).astype(np.uint8)
     scrambled = (img & 0xFE) | rng.integers(0, 2, img.shape).astype(np.uint8)
-    cfg = FeatureConfig(lsb_mask=True)
-    assert np.array_equal(feature_images(img, cfg),
-                          feature_images(scrambled, cfg))
-    cfg_raw = FeatureConfig(lsb_mask=False)
-    assert not np.array_equal(feature_images(img, cfg_raw),
-                              feature_images(scrambled, cfg_raw))
+    cfg = FeatureConfig()
+    for grid_dim in (32, 16):
+        assert np.array_equal(challenge_grid(img, grid_dim),
+                              challenge_grid(scrambled, grid_dim))
+        assert np.array_equal(image_challenge(img, cfg, grid_dim),
+                              image_challenge(scrambled, cfg, grid_dim))
+    assert not np.array_equal(feature_images(img, cfg),
+                              feature_images(scrambled, cfg))
+
+
+def test_challenge_grid_clears_lsb_before_and_after_the_mean():
+    # 2x2 blocks of 33 and 35: cleared to 32 and 34, mean 33, cleared to 32
+    # (band 1). Without the first clear the mean is 34, without the second
+    # it stays 33: band 2 either way.
+    img = np.tile(np.array([[33, 35], [35, 33]], dtype=np.uint8), (4, 4))
+    assert np.all(challenge_grid(img, 4) == 32)
+    assert np.all(image_challenge(img, FeatureConfig(), 4) == 0x80)
 
 
 def test_small_changes_touch_few_planes():
     # moving a value by less than (band width - overlap) alters at most two
     # planes; staying inside one overlap zone alters at most one
     for overlap in (0, 6, 12):
-        cfg = FeatureConfig(overlap=overlap, lsb_mask=False)
+        cfg = FeatureConfig(overlap=overlap)
         table = _memberships(cfg)
         limit = 32 - overlap
         for a in range(256):
@@ -123,7 +131,7 @@ def test_downsample_truncates_toward_zero():
 
 
 def test_challenge_matrix_band_nibbles():
-    cfg = FeatureConfig(lsb_mask=False)
+    cfg = FeatureConfig()
     values = np.array([[16, 255, 140, 100]], dtype=np.uint8)  # bands 1, 8, 5, 4
     # square grid required: tile to 4x4
     img = np.repeat(values, 4, axis=0)
@@ -136,7 +144,7 @@ def test_challenge_matrix_band_nibbles():
 
 
 def test_challenge_matrix_double_threshold_cell():
-    cfg = FeatureConfig(overlap=6, lsb_mask=False)
+    cfg = FeatureConfig(overlap=6)
     img = np.full((2, 2), 126, dtype=np.uint8)  # |126-128| <= 3: bands 4 and 5
     addrs = challenge_matrix(feature_images(img, cfg))
     assert addrs[0, 0] == 0x18
@@ -146,10 +154,8 @@ def test_challenge_matrix_double_threshold_cell():
 
 
 def test_challenge_matrix_requires_l8_and_square():
-    img = np.zeros((4, 4), dtype=np.uint8)
-    planes = feature_images(img, FeatureConfig(L=4))
     with pytest.raises(ValueError):
-        challenge_matrix(planes)
+        challenge_matrix(np.zeros((4, 4, 4), dtype=np.uint8))   # 4 planes, not 8
     wide = feature_images(np.zeros((2, 4), dtype=np.uint8), FeatureConfig())
     with pytest.raises(ValueError):
         challenge_matrix(wide)

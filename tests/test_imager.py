@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from spadmark import (AcquisitionConfig, ChipParams, acquire_dcm, dcr_at,
-                      dcr_map, load_chip, new_chip, save_chip)
+from spadmark import (AcquisitionConfig, ChipParams, acquire_dcm, dcr_map,
+                      load_chip, new_chip, save_chip)
 from conftest import FUZZ, fuzzed_json
 
 
@@ -69,27 +69,19 @@ def test_dcr_field_median_and_spread():
     assert abs(logs.std() - 1.0) < 0.05
 
 
-def test_dcr_at_reference_and_doubling():
+def test_dcr_map_reference_and_doubling():
     params = ChipParams(dcr_sigma=0.0, doubling_temp_jitter=0.0)
     chip = new_chip("c", 1, params)
-    assert dcr_at(chip, 0, 0, 25.0) == pytest.approx(100.0)
-    assert dcr_at(chip, 10, 20, 33.0) == pytest.approx(200.0)
-    assert dcr_at(chip, 10, 20, 17.0) == pytest.approx(50.0)
-
-
-def test_dcr_at_index_errors():
-    chip = new_chip("c", 1)
-    with pytest.raises(IndexError):
-        dcr_at(chip, 64, 0, 25.0)
-    with pytest.raises(IndexError):
-        dcr_at(chip, 0, -1, 25.0)
+    assert dcr_map(chip, 25.0)[0, 0] == pytest.approx(100.0)
+    assert dcr_map(chip, 33.0)[10, 20] == pytest.approx(200.0)
+    assert dcr_map(chip, 17.0)[10, 20] == pytest.approx(50.0)
 
 
 def test_dcr_monotone_in_temperature():
     chip = new_chip("c", 5)
     temps = [0.0, 20.0, 25.0, 40.0, 60.0, 80.0]
     for row, col in [(0, 0), (13, 50), (63, 63)]:
-        rates = [dcr_at(chip, row, col, t) for t in temps]
+        rates = [dcr_map(chip, t)[row, col] for t in temps]
         assert all(a < b for a, b in zip(rates, rates[1:]))
 
 

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from spadmark import (EnrollmentDB, FeatureConfig, Fingerprint, Thresholds, WatermarkLayout,
+from spadmark import (EnrollmentDB, Fingerprint, Thresholds, WatermarkLayout,
                       add_gaussian_noise, assemble, disassemble, embed_lsb,
                       generate_watermark, hamming_frac, identify_source,
                       psnr, puf_query, robustness_sweep, sensitivity, verify)
 from spadmark import verifier
 from spadmark.verifier import (AUTHENTIC, TAMPERED, UNKNOWN_SOURCE,
-                               challenge_grid, content_bits, tamper_bitmap,
+                               challenge_grid, tamper_bitmap,
                                tolerant_flip_frac, watermark_bitmap)
 from conftest import FUZZ, make_image, traced_peak_bytes
 
@@ -332,20 +332,21 @@ def test_tolerant_flips_zero_overlap_is_plain_hamming(records, host_images):
     layout = WatermarkLayout()
     wm_ref = generate_watermark(img, records[0])
     wm_noisy = generate_watermark(noisy, records[0])
-    plain = hamming_frac(content_bits(wm_ref), content_bits(wm_noisy))
-    grids = [challenge_grid(x, FeatureConfig(), layout.grid_dim) for x in (img, noisy)]
-    assert tolerant_flip_frac(*grids, records[0], 0.0, layout) == pytest.approx(plain)
+    content = slice(0, layout.fingerprint_slice.start)   # challenge + responses
+    plain = hamming_frac(wm_ref.bits[content], wm_noisy.bits[content])
+    grids = [challenge_grid(x, layout.grid_dim) for x in (img, noisy)]
+    flips = tolerant_flip_frac(grids[0], grids[1:], records[0], [0.0], layout)
+    assert flips[0, 0] == pytest.approx(plain)
 
 
 def test_tolerant_flips_monotone_in_overlap(records, host_images):
     img = host_images[0]
     layout = WatermarkLayout()
-    clean = challenge_grid(img, FeatureConfig(), layout.grid_dim)
-    for seed in (1, 2):
-        noisy = challenge_grid(add_gaussian_noise(img, 30.0, seed=seed),
-                               FeatureConfig(), layout.grid_dim)
-        flips = [tolerant_flip_frac(clean, noisy, records[0], w, layout)
-                 for w in (0, 2, 4, 6, 8, 10, 12)]
+    clean = challenge_grid(img, layout.grid_dim)
+    noisy = [challenge_grid(add_gaussian_noise(img, 30.0, seed=seed), layout.grid_dim)
+             for seed in (1, 2)]
+    table = tolerant_flip_frac(clean, noisy, records[0], [0, 2, 4, 6, 8, 10, 12], layout)
+    for flips in table.T:   # one column per seed, overlaps down the rows
         assert all(a >= b for a, b in zip(flips, flips[1:]))
 
 
@@ -363,13 +364,18 @@ def test_robustness_sweep_table_shape(records, host_images):
 
 
 def test_robustness_sweep_downsamples_each_image_once(records, host_images, monkeypatch):
-    calls = []
-    downsample = verifier.downsample
-    monkeypatch.setattr(verifier, "downsample",
-                        lambda *args: calls.append(1) or downsample(*args))
+    calls = {}
+    for name in ("downsample", "puf_query", "feature_images"):
+        def counted(*args, _fn=getattr(verifier, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(verifier, name, counted)
     sigmas, overlaps, seeds = [6, 18], [0, 6, 12], [101, 102]
     robustness_sweep(host_images[0], records[0], sigmas, overlaps, seeds)
-    assert len(calls) == 1 + len(sigmas) * len(seeds)
+    grids = 1 + len(sigmas) * len(seeds)
+    assert calls["downsample"] == grids
+    assert calls["puf_query"] == grids      # one single-threshold lookup per grid
+    assert calls["feature_images"] <= (1 + len(overlaps)) * grids
 
 
 def test_report_bitmaps(records, enrolled_db, host_images):
