@@ -8,6 +8,7 @@ its flags and seeds, so reruns produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -261,7 +262,10 @@ def _add_common_feature_flags(parser) -> None:
                         help="challenge grid side (image dims must divide by it)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``wm`` parser, built once per process: parsing keeps no state
+    between calls, and each build cost a few milliseconds per command."""
     parser = _Parser(prog="wm", description=__doc__.splitlines()[0])
     parser.add_argument("--db-dir", default="wm_db",
                         help="workspace directory of chip and enrollment records")

@@ -233,12 +233,18 @@ def load_watermark(path: str | Path) -> Watermark:
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("wm v1 "):
         raise ValueError(f"{path}: not a v1 watermark sidecar")
-    fields = dict(part.split("=", 1) for part in lines[0].split()[2:])
+    tokens = [part.partition("=") for part in lines[0].split()[2:]]
+    if not all(sep for _, sep, _ in tokens):
+        raise ValueError(f"{path}: header fields must be KEY=VALUE, got {lines[0]!r}")
+    fields = {key: value for key, _, value in tokens}
     if not {"D", "P", "L"} <= fields.keys():
         raise ValueError(f"{path}: header needs D=, P= and L=, got {lines[0]!r}")
     if fields["L"] != str(L):
         raise ValueError(f"{path}: nibble addressing requires L={L}, got {lines[0]!r}")
-    layout = WatermarkLayout(grid_dim=int(fields["D"]), puf_dim=int(fields["P"]))
+    try:
+        layout = WatermarkLayout(grid_dim=int(fields["D"]), puf_dim=int(fields["P"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad layout in {lines[0]!r}: {exc}") from None
     if len(lines) < 2:
         raise ValueError(f"{path}: missing bit payload")
     return Watermark(bits=hex_to_bits(lines[1], layout.total_bits), layout=layout)

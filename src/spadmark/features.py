@@ -35,6 +35,11 @@ INTENSITY_RANGE = 256        # 8-bit images only
 L = 8                        # band planes: the two nibbles of one address byte
 BAND = INTENSITY_RANGE // L  # band width, intensity units
 
+# Pixels per strip of the streamed per-pixel kernels (``downsample`` here,
+# ``verifier.psnr``): a strip and its buffers fit in L2, and a 512^2 host
+# is one strip. Both read it at call time.
+STRIP_PIXELS = 1 << 18
+
 
 @dataclass(frozen=True)
 class FeatureConfig:
@@ -43,7 +48,7 @@ class FeatureConfig:
     overlap: float = 0.0        # total width of the desensitized band, intensity units
 
     def __post_init__(self) -> None:
-        if self.overlap < 0 or self.overlap >= BAND:
+        if not 0 <= self.overlap < BAND:     # also rejects NaN
             raise ValueError(f"overlap must be in [0, {BAND}), got {self.overlap}")
 
 
@@ -85,6 +90,12 @@ def downsample(img: np.ndarray, grid_dim: int) -> np.ndarray:
 
     Integer arithmetic throughout, so the result is bit-exact regardless of
     platform. Both image dimensions must be divisible by grid_dim.
+
+    The host is streamed k block-rows at a time, with k * bh * w about
+    ``STRIP_PIXELS``, so each strip stays in cache and one row buffer serves
+    every strip. A strip's bh pixel rows are first summed along axis 0 into
+    uint32, which is exact because bh * 255 < 2**32 (uint64 for taller
+    blocks), then each block's bw columns into the int64 block sums.
     """
     pixels = _check_gray(img)
     h, w = pixels.shape
@@ -92,7 +103,15 @@ def downsample(img: np.ndarray, grid_dim: int) -> np.ndarray:
         raise ValueError(
             f"image {h}x{w} not divisible into a {grid_dim}x{grid_dim} grid")
     bh, bw = h // grid_dim, w // grid_dim
-    sums = pixels.reshape(grid_dim, bh, grid_dim, bw).sum(axis=(1, 3), dtype=np.int64)
+    k = min(grid_dim, max(1, STRIP_PIXELS // (bh * w)))
+    rows = np.empty((k, w), dtype=np.uint32 if bh * 255 < 2 ** 32 else np.uint64)
+    sums = np.empty((grid_dim, grid_dim), dtype=np.int64)
+    for top in range(0, grid_dim, k):
+        n = min(k, grid_dim - top)
+        strip = pixels[top * bh:(top + n) * bh].reshape(n, bh, w)
+        np.sum(strip, axis=1, dtype=rows.dtype, out=rows[:n])
+        np.sum(rows[:n].reshape(n, grid_dim, bw), axis=2, dtype=np.int64,
+               out=sums[top:top + n])
     return (sums // (bh * bw)).astype(np.uint8)
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import features
 from .codec import Watermark, WatermarkLayout, assemble, disassemble, extract_lsb
 from .features import FeatureConfig, challenge_matrix, downsample, feature_images, _check_gray
 from .puf import EnrollmentDB, EnrollmentRecord, Fingerprint, puf_query
@@ -205,14 +206,31 @@ def add_gaussian_noise(img: np.ndarray, sigma: float, seed: int = 0) -> np.ndarr
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB; +inf for identical images. Exact
-    integer arithmetic (uint8 |x - y|, uint16 squares), no float copies."""
+    integer arithmetic (uint8 |x - y|, uint16 squares), no float copies.
+
+    Both images are walked in strips of ``features.STRIP_PIXELS`` pixels,
+    and no temporary is larger than a strip. A strip that is equal in both
+    adds nothing to the squared error and is skipped after one comparison:
+    a marked host differs from its original in the first total_bits pixels
+    only, so most of a large host costs one compare.
+    """
     x = _check_gray(a)
     y = _check_gray(b)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    diff = np.maximum(x, y)
-    diff -= np.minimum(x, y)
-    sse = int(np.multiply(diff, diff, dtype=np.uint16).sum(dtype=np.uint64))
+    x = np.ascontiguousarray(x).reshape(-1)
+    y = np.ascontiguousarray(y).reshape(-1)
+    step = features.STRIP_PIXELS
+    diff = np.empty(min(step, x.size), dtype=np.uint8)     # reused by every strip
+    sse = 0
+    for start in range(0, x.size, step):
+        xs, ys = x[start:start + step], y[start:start + step]
+        d = diff[:xs.size]
+        if np.equal(xs, ys, out=d.view(np.bool_)).all():
+            continue
+        np.maximum(xs, ys, out=d)
+        d -= np.minimum(xs, ys)
+        sse += int(np.multiply(d, d, dtype=np.uint16).sum(dtype=np.uint64))
     if sse == 0:
         return math.inf
     return 10.0 * math.log10(255.0 ** 2 / (sse / x.size))

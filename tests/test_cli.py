@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import spadmark
-from spadmark import read_pgm, write_pgm
-from spadmark.cli import main
+from spadmark import (FeatureConfig, generate_watermark, load_enrollment, load_watermark,
+                      read_pgm, write_pgm)
+from spadmark.cli import build_parser, main
 from conftest import make_image
 
 
@@ -284,6 +285,36 @@ def test_mark_capacity_and_io_errors(tmp_path):
     garbage.write_bytes(b"JFIF not a pgm")
     assert main(["--db-dir", str(db), "mark", str(garbage), "--chip", "chip1"]) == 1
     assert main(["--db-dir", str(db), "bogus-command"]) == 1
+
+
+def test_mark_rejects_nan_overlap(tmp_path, capsys):
+    db = _setup_db(tmp_path, n_chips=1)
+    img_path = tmp_path / "scene.pgm"
+    write_pgm(make_image(0), img_path)
+    capsys.readouterr()
+    assert main(["--db-dir", str(db), "mark", str(img_path), "--chip", "chip1",
+                 "--overlap", "nan"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["wm: error: overlap must be in [0, 32), got nan"]
+    assert not (tmp_path / "scene.marked.pgm").exists()
+
+
+def test_consecutive_calls_parse_independently(tmp_path):
+    # one parser serves every call; no flag of one call leaks into the next
+    assert build_parser() is build_parser()
+    db = _setup_db(tmp_path, n_chips=1)
+    img = make_image(0)
+    img_path = tmp_path / "scene.pgm"
+    write_pgm(img, img_path)
+    mark = ["--db-dir", str(db), "mark", str(img_path), "--chip", "chip1"]
+    assert main(mark + ["--overlap", "6", "--out-dir", str(tmp_path / "wide")]) == 0
+    assert main(mark + ["--out-dir", str(tmp_path / "plain")]) == 0
+    record = load_enrollment(db / "chip1.enroll.json")
+    wide = load_watermark(tmp_path / "wide" / "scene.wm.txt").bits
+    plain = load_watermark(tmp_path / "plain" / "scene.wm.txt").bits
+    assert np.array_equal(wide, generate_watermark(img, record, FeatureConfig(overlap=6)).bits)
+    assert np.array_equal(plain, generate_watermark(img, record).bits)
+    assert not np.array_equal(wide, plain)
 
 
 # SHA-256 of every file the workspace below holds after its commands ran.

@@ -268,6 +268,12 @@ def test_sidecar_rejects_garbage(tmp_path):
     path.write_text("wm v1 D=64 P=64 L=4\n00\n")
     with pytest.raises(ValueError, match="bad.txt: nibble addressing requires L=8"):
         load_watermark(path)
+    path.write_text("wm v1 D=x P=64 L=8\n00\n")
+    with pytest.raises(ValueError, match="bad.txt: bad layout"):
+        load_watermark(path)
+    path.write_text("wm v1 D64 P=64 L=8\n00\n")
+    with pytest.raises(ValueError, match="bad.txt: header fields must be KEY=VALUE"):
+        load_watermark(path)
 
 
 _PGM_HEADERS = st.builds(

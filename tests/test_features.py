@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from spadmark import FeatureConfig, challenge_matrix, downsample, feature_images
+from spadmark import FeatureConfig, challenge_matrix, downsample, feature_images, features
 from spadmark.verifier import challenge_grid, image_challenge
+from conftest import FUZZ, traced_peak_bytes
 
 ALL_LEVELS = np.arange(256, dtype=np.uint8).reshape(1, 256)
 
@@ -23,6 +25,8 @@ def test_config_validation():
         FeatureConfig(overlap=-1)
     with pytest.raises(ValueError):
         FeatureConfig(overlap=32)
+    with pytest.raises(ValueError):
+        FeatureConfig(overlap=float("nan"))
 
 
 def test_single_mode_matches_band_oracle():
@@ -128,6 +132,49 @@ def test_downsample_truncates_toward_zero():
     out = downsample(img, 16)
     blocks = img.reshape(16, 3, 16, 3).astype(np.int64)
     assert np.array_equal(out, blocks.sum(axis=(1, 3)) // 9)
+
+
+def _reference_downsample(img, grid_dim):
+    h, w = img.shape
+    bh, bw = h // grid_dim, w // grid_dim
+    sums = img.reshape(grid_dim, bh, grid_dim, bw).sum(axis=(1, 3), dtype=np.int64)
+    return sums // (bh * bw)
+
+
+@FUZZ
+@given(grid_dim=st.integers(1, 12), bh=st.integers(1, 6), bw=st.integers(1, 6),
+       strip=st.integers(1, 1000), seed=st.integers(0, 2 ** 32 - 1))
+def test_downsample_strips_match_reference(monkeypatch, grid_dim, bh, bw, strip, seed):
+    # non-square hosts and blocks; strips of any number of block-rows,
+    # k = strip // (bh * w) dividing the grid side or not
+    monkeypatch.setattr(features, "STRIP_PIXELS", strip)
+    img = np.random.default_rng(seed).integers(
+        0, 256, (grid_dim * bh, grid_dim * bw), dtype=np.uint8)
+    assert np.array_equal(downsample(img, grid_dim), _reference_downsample(img, grid_dim))
+
+
+@pytest.mark.parametrize("strip", [1, 3 * 4 * 35, 2 * 4 * 35 + 1, 10 ** 9])
+def test_downsample_short_last_strip(monkeypatch, strip):
+    # a 28x35 host on a 7x7 grid (4x5 blocks): one block-row per strip,
+    # strips of 3 or 2 block-rows with a short last one, and one strip
+    monkeypatch.setattr(features, "STRIP_PIXELS", strip)
+    img = np.random.default_rng(11).integers(0, 256, (28, 35), dtype=np.uint8)
+    assert np.array_equal(downsample(img, 7), _reference_downsample(img, 7))
+    assert np.array_equal(downsample(img.T, 7), _reference_downsample(img.T.copy(), 7))
+    assert np.array_equal(downsample(img.astype(np.int64), 7), _reference_downsample(img, 7))
+
+
+def test_downsample_row_sums_widen_past_uint32():
+    # 16843010 rows of 255 in one block: the block's row sum, 255 * 16843010,
+    # is 2**32 + 254, which a uint32 accumulator would wrap to 254
+    column = np.full((16843010, 1), 255, dtype=np.uint8)
+    assert downsample(column, 1)[0, 0] == 255
+
+
+def test_downsample_streams_in_place():
+    img = np.random.default_rng(12).integers(0, 256, (2048, 2048), dtype=np.uint8)
+    # a strip-sized row buffer and the block sums, not a copy of the host
+    assert traced_peak_bytes(lambda: downsample(img, 64)) / img.size < 0.1
 
 
 def test_challenge_matrix_band_nibbles():

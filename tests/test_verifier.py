@@ -10,7 +10,7 @@ from spadmark import (EnrollmentDB, Fingerprint, Thresholds, WatermarkLayout,
                       add_gaussian_noise, assemble, disassemble, embed_lsb,
                       generate_watermark, hamming_frac, identify_source,
                       psnr, puf_query, robustness_sweep, sensitivity, verify)
-from spadmark import verifier
+from spadmark import features, verifier
 from spadmark.verifier import (AUTHENTIC, TAMPERED, UNKNOWN_SOURCE,
                                challenge_grid, tamper_bitmap,
                                tolerant_flip_frac, watermark_bitmap)
@@ -95,10 +95,40 @@ def test_psnr_exact_at_4096():
 
 def test_psnr_makes_no_float_copies():
     rng = np.random.default_rng(10)
-    x = rng.integers(0, 256, (1024, 1024), dtype=np.uint8)
-    y = rng.integers(0, 256, (1024, 1024), dtype=np.uint8)
-    # 24 bytes per pixel with float64 copies of both images
-    assert traced_peak_bytes(lambda: psnr(x, y)) / x.size < 4
+    x = rng.integers(0, 256, (2048, 2048), dtype=np.uint8)
+    y = rng.integers(0, 256, (2048, 2048), dtype=np.uint8)
+    # 24 bytes per pixel with float64 copies of both images, 3 with
+    # whole-image integer temporaries; strips need a strip's worth
+    assert traced_peak_bytes(lambda: psnr(x, y)) / x.size < 0.25
+    marked = x.copy()
+    marked.reshape(-1)[:WatermarkLayout().total_bits] ^= 1
+    assert traced_peak_bytes(lambda: psnr(x, marked)) / x.size < 0.25
+
+
+STRIP = 1000
+
+
+@pytest.mark.parametrize("pixel", [0, STRIP - 1, STRIP, 2 * STRIP + 7, 64 * 50 - 1])
+def test_psnr_strip_edges(monkeypatch, pixel):
+    # 3200 pixels in strips of 1000: three full strips and a short last one
+    monkeypatch.setattr(features, "STRIP_PIXELS", STRIP)
+    x = np.ascontiguousarray(make_image(5, size=64)[:, :50])
+    y = x.copy()
+    y.reshape(-1)[pixel] ^= 0x5A
+    assert psnr(x, y) == _reference_psnr(x, y)
+    assert psnr(y, x) == _reference_psnr(x, y)
+    assert psnr(x.T, y.T) == _reference_psnr(x, y)
+    assert psnr(x.astype(np.int64), y) == _reference_psnr(x, y)
+
+
+def test_psnr_strided_views_and_equal_images(monkeypatch):
+    monkeypatch.setattr(features, "STRIP_PIXELS", STRIP)
+    x = make_image(6, size=128)
+    y = x ^ np.random.default_rng(14).integers(0, 2, x.shape, dtype=np.uint8)
+    for view in (np.transpose, lambda im: im[::2, 1::3], lambda im: im[::-1]):
+        assert psnr(view(x), view(y)) == _reference_psnr(view(x), view(y))
+    assert psnr(x, x.copy()) == math.inf
+    assert psnr(x.T, x.T.astype(np.int64)) == math.inf
 
 
 def test_add_gaussian_noise():
