@@ -229,6 +229,15 @@ def save_watermark(wm: Watermark, path: str | Path) -> Path:
     return path
 
 
+def _decimal(text: str) -> int:
+    """A layout field as ``save_watermark`` writes it: plain decimal, so
+    ``int()``'s other spellings (``+16``, ``1_6``, ``016``) are rejected."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not written as a plain decimal")
+    return value
+
+
 def load_watermark(path: str | Path) -> Watermark:
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("wm v1 "):
@@ -242,7 +251,7 @@ def load_watermark(path: str | Path) -> Watermark:
     if fields["L"] != str(L):
         raise ValueError(f"{path}: nibble addressing requires L={L}, got {lines[0]!r}")
     try:
-        layout = WatermarkLayout(grid_dim=int(fields["D"]), puf_dim=int(fields["P"]))
+        layout = WatermarkLayout(grid_dim=_decimal(fields["D"]), puf_dim=_decimal(fields["P"]))
     except ValueError as exc:
         raise ValueError(f"{path}: bad layout in {lines[0]!r}: {exc}") from None
     if len(lines) < 2:

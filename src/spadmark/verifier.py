@@ -27,6 +27,7 @@ import numpy as np
 from . import features
 from .codec import Watermark, WatermarkLayout, assemble, disassemble, extract_lsb
 from .features import FeatureConfig, challenge_matrix, downsample, feature_images, _check_gray
+from .imager import chip_seed
 from .puf import EnrollmentDB, EnrollmentRecord, Fingerprint, puf_query
 
 AUTHENTIC = "authentic"
@@ -192,16 +193,44 @@ def sensitivity(img_change_frac: float, wm_change_frac: float) -> float:
     return wm_change_frac / img_change_frac
 
 
+def _gaussian_noise(pixels: np.ndarray, sigmas: list[float], seed: int) -> list[np.ndarray]:
+    """One noisy uint8 copy of ``pixels`` per sigma, all from one draw of
+    the seed's standard normals.
+
+    Each copy is ``pixels + default_rng(seed).normal(0, sigma, shape)``,
+    rounded and clamped to [0, 255], bit for bit: ``normal(0, sigma)`` is
+    ``0 + sigma * standard_normal``, draw for draw. The normals are drawn
+    ``features.STRIP_PIXELS // 8`` pixels at a time (256 KB of float64)
+    into reused buffers; consecutive strips continue one stream, so this is
+    the whole-image draw without a whole-image float array. Every sigma is
+    checked before anything is drawn.
+    """
+    for sigma in sigmas:
+        if not 0 <= sigma < math.inf:       # also rejects NaN
+            raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
+    rng = np.random.default_rng(chip_seed(seed))
+    flat = np.ascontiguousarray(pixels).reshape(-1)
+    outs = [np.empty(flat.size, dtype=np.uint8) for _ in sigmas]
+    step = max(1, features.STRIP_PIXELS // 8)
+    normal = np.empty(min(step, flat.size))      # both reused by every strip
+    noisy = np.empty_like(normal)
+    for start in range(0, flat.size, step):
+        stop = min(start + step, flat.size)
+        z = rng.standard_normal(out=normal[:stop - start])
+        v = noisy[:stop - start]
+        for sigma, out in zip(sigmas, outs):
+            np.multiply(z, sigma, out=v)
+            v += flat[start:stop]
+            np.clip(np.rint(v, out=v), 0, 255, out=v)
+            out[start:stop] = v
+    return [out.reshape(pixels.shape) for out in outs]
+
+
 def add_gaussian_noise(img: np.ndarray, sigma: float, seed: int = 0) -> np.ndarray:
-    """Per-pixel Gaussian perturbation, rounded and clamped to [0, 255]."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    pixels = _check_gray(img)
-    rng = np.random.default_rng(seed)
-    noisy = rng.normal(0.0, sigma, pixels.shape)
-    noisy += pixels  # in place: full-size temporaries are page-faulted in anew each call
-    np.clip(np.rint(noisy, out=noisy), 0, 255, out=noisy)
-    return noisy.astype(np.uint8)
+    """Per-pixel Gaussian perturbation, rounded and clamped to [0, 255]:
+    ``img + default_rng(seed).normal(0, sigma, img.shape)``, streamed in
+    strips so no full-size float copy is made."""
+    return _gaussian_noise(_check_gray(img), [sigma], seed)[0]
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
@@ -285,19 +314,28 @@ def robustness_sweep(img: np.ndarray, record: EnrollmentRecord,
     For each (sigma, overlap): add Gaussian noise to the clean image and
     count challenge+response flips with ``tolerant_flip_frac``, averaged
     over the noise seeds. The fingerprint block is excluded since it never
-    depends on the image. Noisy grids are shared across overlaps so the
-    overlap columns see identical noise.
+    depends on the image. Each seed's standard normals are drawn once and
+    scaled for every sigma, so the sigma rows see the same noise pattern,
+    and the noisy grids are shared across overlaps so the overlap columns
+    see identical noise. Every noisy image equals
+    ``add_gaussian_noise(img, sigma, seed)``.
     """
+    if not sigmas:
+        raise ValueError("need at least one noise sigma")
+    if not overlaps:
+        raise ValueError("need at least one overlap")
     if not seeds:
         raise ValueError("need at least one noise seed")
     layout = layout or WatermarkLayout(puf_dim=record.fingerprint.bits.shape[0])
     d = layout.grid_dim
-    clean = challenge_grid(img, d)
-    noisy = [challenge_grid(add_gaussian_noise(img, sigma, seed), d)
-             for sigma in sigmas for seed in seeds]
+    pixels = _check_gray(img)
+    clean = challenge_grid(pixels, d)
+    noisy = []      # seed-major: one draw serves every sigma
+    for seed in seeds:
+        noisy.extend(challenge_grid(image, d) for image in _gaussian_noise(pixels, sigmas, seed))
     flips = tolerant_flip_frac(clean, noisy, record, overlaps, layout).reshape(
-        len(overlaps), len(sigmas), len(seeds))
-    table = [(float(sigma), float(overlap), float(np.mean(flips[i, j])))
+        len(overlaps), len(seeds), len(sigmas))
+    table = [(float(sigma), float(overlap), float(np.mean(flips[i, :, j])))
              for i, overlap in enumerate(overlaps) for j, sigma in enumerate(sigmas)]
     table.sort(key=lambda row: (row[0], row[1]))
     return table

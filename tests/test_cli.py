@@ -299,6 +299,27 @@ def test_mark_rejects_nan_overlap(tmp_path, capsys):
     assert not (tmp_path / "scene.marked.pgm").exists()
 
 
+@pytest.mark.parametrize("flag,value,reason", [
+    ("--sigmas", "nan", "sigma must be a finite number >= 0, got nan"),
+    ("--sigmas", "6,inf", "sigma must be a finite number >= 0, got inf"),
+    ("--sigmas", "-1", "sigma must be a finite number >= 0, got -1.0"),
+    ("--sigmas", ",", "need at least one noise sigma"),
+    ("--overlaps", ",", "need at least one overlap"),
+    ("--noise-seeds", ",", "need at least one noise seed"),
+    ("--noise-seeds", "101,-1", "seed must be a non-negative integer, got -1"),
+])
+def test_experiment_robustness_rejects_bad_lists(tmp_path, capsys, flag, value, reason):
+    db = _setup_db(tmp_path, n_chips=1)
+    img_path = tmp_path / "img0.pgm"
+    write_pgm(make_image(0), img_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["--db-dir", str(db), "experiment", "robustness", "--chip", "chip1",
+                 "--image", str(img_path), f"{flag}={value}", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"wm: error: {reason}"]
+    assert not (out / "robustness.csv").exists()
+
+
 def test_consecutive_calls_parse_independently(tmp_path):
     # one parser serves every call; no flag of one call leaks into the next
     assert build_parser() is build_parser()

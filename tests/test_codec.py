@@ -271,6 +271,10 @@ def test_sidecar_rejects_garbage(tmp_path):
     path.write_text("wm v1 D=x P=64 L=8\n00\n")
     with pytest.raises(ValueError, match="bad.txt: bad layout"):
         load_watermark(path)
+    for header in ("D=+16 P=16", "D=1_6 P=16", "D=016 P=16", "D=16 P=+16", "D=16 P=0_16"):
+        path.write_text(f"wm v1 {header} L=8\n00\n")
+        with pytest.raises(ValueError, match="bad.txt: bad layout"):
+            load_watermark(path)
     path.write_text("wm v1 D64 P=64 L=8\n00\n")
     with pytest.raises(ValueError, match="bad.txt: header fields must be KEY=VALUE"):
         load_watermark(path)

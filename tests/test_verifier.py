@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from spadmark import (EnrollmentDB, Fingerprint, Thresholds, WatermarkLayout,
@@ -143,6 +143,81 @@ def test_add_gaussian_noise():
     assert np.array_equal(n1, np.clip(np.rint(img + noise), 0, 255).astype(np.uint8))
     with pytest.raises(ValueError):
         add_gaussian_noise(img, -1.0)
+
+
+def _reference_noise(img, sigma, seed):
+    return np.clip(np.rint(img + np.random.default_rng(seed).normal(0.0, sigma, img.shape)),
+                   0, 255).astype(np.uint8)
+
+
+@FUZZ
+@given(shape=array_shapes(min_dims=2, max_dims=2, max_side=48),
+       strip_pixels=st.integers(1, 3000),
+       sigmas=st.lists(st.sampled_from([0.0, 0.4, 6.0, 18.0]) | st.floats(0, 400),
+                       min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1),
+       transpose=st.booleans(), dtype=st.sampled_from([np.uint8, np.int64]))
+@example(shape=(7, 9), strip_pixels=8 * 5, sigmas=[0.0, 10.0, 10.0], seed=3,
+         transpose=True, dtype=np.int64)
+def test_gaussian_noise_strips_match_reference(monkeypatch, shape, strip_pixels, sigmas,
+                                               seed, transpose, dtype):
+    # strips of strip_pixels // 8 pixels (at least 1) end mid-row, and the
+    # last one is short unless it divides the image
+    monkeypatch.setattr(features, "STRIP_PIXELS", strip_pixels)
+    img = np.random.default_rng(seed).integers(0, 256, shape).astype(dtype)
+    if transpose:
+        img = img.T
+    noisy = verifier._gaussian_noise(features._check_gray(img), sigmas, seed)
+    assert len(noisy) == len(sigmas)
+    for sigma, out in zip(sigmas, noisy):
+        expected = _reference_noise(img, sigma, seed)
+        assert out.dtype == np.uint8 and np.array_equal(out, expected)
+        assert np.array_equal(add_gaussian_noise(img, sigma, seed), expected)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -0.5])
+def test_gaussian_noise_rejects_sigma_before_drawing(monkeypatch, sigma):
+    def no_draw(seed):
+        raise AssertionError("drew noise for an invalid sigma")
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    img = np.zeros((4, 4), dtype=np.uint8)
+    with pytest.raises(ValueError, match="sigma must be a finite number >= 0"):
+        add_gaussian_noise(img, sigma)
+    with pytest.raises(ValueError, match="sigma must be a finite number >= 0"):
+        verifier._gaussian_noise(img, [6.0, sigma], 1)
+
+
+def test_robustness_sweep_draws_each_seed_once(records, host_images, monkeypatch):
+    # one generator per seed, each stopped exactly H*W standard normals
+    # into its stream: K*H*W draws for S*K noisy images
+    real = np.random.default_rng
+    made = []
+
+    def recorded(seed):
+        made.append((seed, real(seed)))
+        return made[-1][1]
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    img = host_images[0]
+    seeds = [101, 102, 103]
+    robustness_sweep(img, records[0], [6, 18, 54], [0, 6], seeds)
+    assert [seed for seed, _ in made] == seeds
+    for seed, rng in made:
+        reference = real(seed)
+        reference.standard_normal(img.size)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_gaussian_noise_streams_in_strips(records):
+    rng = np.random.default_rng(15)
+    img = rng.integers(0, 256, (2048, 2048), dtype=np.uint8)
+    # the uint8 result, plus two strip buffers; a whole-image float64 draw
+    # costs 8 bytes per pixel more
+    assert traced_peak_bytes(lambda: add_gaussian_noise(img, 18.0, seed=1)) / img.size < 1.5
+    # one seed's noisy images (one byte per pixel and sigma), plus the LSB
+    # clear of the one being downsampled
+    peak = traced_peak_bytes(lambda: robustness_sweep(img, records[0], [6, 18, 54],
+                                                      [0, 6, 12], [101, 102, 103]))
+    assert peak / img.size < 4.5
 
 
 def test_generate_watermark_deterministic(records, host_images):
