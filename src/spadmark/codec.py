@@ -1,7 +1,7 @@
 """Watermark serialization, LSB embedding and PGM image I/O.
 
 The watermark is a fixed-layout bit string: challenge block (the D x D
-address bytes of ``features.challenge_matrix``, row-major, MSB first), then
+``features.challenge_matrix`` bytes, row-major, band plane 1 = MSB first), then
 the two response planes, then the device fingerprint. At the defaults (grid
 64, map 64) that is 32768 + 8192 + 4096 = 45056 bits, carried in the least
 significant bits of the first 45056 host pixels. LSBs beyond the payload are left untouched.

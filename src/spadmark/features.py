@@ -2,15 +2,16 @@
 
 Every challenge is built in one sequence: ``verifier.challenge_grid``
 clears the host's LSB plane, block-averages to the challenge grid
-(``downsample``) and clears the grid's LSB plane; ``feature_images`` then
-quantizes each cell into L = 8 binary band planes, and ``challenge_matrix``
-packs each cell's 8 planes into one address byte: planes 1-4 form the high
-nibble, the row of the relative maps, and planes 5-8 the low nibble, the
-column. That (D, D) uint8 array of address bytes is the challenge in every
-layer: ``puf.puf_query`` splits each byte into its row and column, and the
-watermark payload carries the bytes as they are. Both LSB clears live in
-``challenge_grid``, which says why each is needed; the quantizer here sees
-every level as it is given.
+(``downsample``) and clears the grid's LSB plane; ``challenge_matrix`` then
+maps each cell's level to one address byte, its L = 8 ``feature_images``
+band planes packed plane 1 first: planes 1-4 form the high nibble, the row
+of the relative maps, and planes 5-8 the low nibble, the column. A byte
+depends on its cell's level alone, so the 256 levels are quantized once
+into a lookup table and the planes never leave this module. That uint8
+array of address bytes is the challenge in every layer: ``puf.puf_query``
+splits each byte into its row and column, two cells share a band when
+their bytes AND to nonzero, and the watermark payload carries the bytes.
+Both LSB clears live in ``challenge_grid``, which says why each is needed.
 
 Plane i is computed with a nested signum expression
 
@@ -115,16 +116,17 @@ def downsample(img: np.ndarray, grid_dim: int) -> np.ndarray:
     return (sums // (bh * bw)).astype(np.uint8)
 
 
-def challenge_matrix(planes: np.ndarray) -> np.ndarray:
-    """Pack each cell's 8 planes, plane 1 first, into one address byte.
+def challenge_matrix(grid: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
+    """Address bytes of a uint8 grid of levels, of any shape.
 
-    The high nibble (planes 1-4) is the map row, the low nibble (planes
-    5-8) the map column. Only L = 8 has a defined packing.
+    Each byte is a level's 8 ``feature_images`` planes, plane 1 first:
+    the high nibble (planes 1-4) is the map row, the low nibble (planes
+    5-8) the map column. The 256 levels are quantized once into a table
+    that every cell indexes. Other dtypes are rejected, not wrapped.
     """
-    if planes.shape[0] != 8:
-        raise ValueError(f"challenge addresses are defined for L = 8 only, got L = {planes.shape[0]}")
-    if planes.shape[1] != planes.shape[2]:
-        raise ValueError(f"challenge grid must be square, got {planes.shape[1]}x{planes.shape[2]}")
-    # the same bytes as np.packbits(planes, axis=0)[0], which is ~15x slower
-    weights = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8).reshape(8, 1, 1)
-    return (planes * weights).sum(axis=0, dtype=np.uint8)
+    grid = np.asarray(grid)
+    if grid.dtype != np.uint8:
+        raise ValueError(f"challenge grid must be uint8 levels, got dtype {grid.dtype}")
+    levels = np.arange(INTENSITY_RANGE, dtype=np.uint8).reshape(1, -1)
+    table = np.packbits(feature_images(levels, cfg), axis=0)[0, 0]
+    return table[grid]

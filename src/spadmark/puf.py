@@ -7,9 +7,9 @@ the counts -- in particular the common exponential growth with temperature --
 leaves the maps unchanged; that is the whole trick behind using them as a
 stable device secret.
 
-A challenge is the (D, D) uint8 grid of address bytes built by
-``features.challenge_matrix``; ``puf_query`` splits each byte into a map row
-(high nibble) and column (low nibble). An enrollment database holds one
+A challenge is a (D, D) uint8 grid of ``features.challenge_matrix`` address
+bytes, or a stack of such grids; ``puf_query`` splits each byte into a map
+row (high nibble) and column (low nibble). An enrollment database holds one
 record per chip_id; ``load_enrollment_db`` rejects a duplicate. It keeps
 every record's maps packed, as stored, and its fingerprints as one matrix;
 a record's maps are unpacked only when the record itself is asked for.
@@ -98,7 +98,7 @@ class PackedRecord:
 class ResponsePair:
     """Per-challenge-cell lookups into both relative maps."""
 
-    r_h: np.ndarray             # uint8 {0,1}, grid_dim x grid_dim
+    r_h: np.ndarray             # uint8 {0,1}, the challenge's shape: (D, D) or a stack
     r_v: np.ndarray
 
 
@@ -154,8 +154,8 @@ def puf_query(record: EnrollmentRecord, challenge: np.ndarray,
               response_map: str = "both") -> ResponsePair:
     """Read both relative maps at the challenge's address bytes.
 
-    ``challenge`` is the (D, D) uint8 grid of ``features.challenge_matrix``:
-    high nibble = map row, low nibble = column. Other dtypes are rejected,
+    ``challenge`` holds ``features.challenge_matrix`` bytes, a (D, D) grid or a
+    stack: high nibble = map row, low nibble = column. Other dtypes are rejected,
     not wrapped, as is any address at or past the array edge.
     ``response_map`` selects which map feeds the two response planes:
     "both" (default) uses horizontal and vertical, "h"/"v" duplicate a

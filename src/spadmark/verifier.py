@@ -26,7 +26,7 @@ import numpy as np
 
 from . import features
 from .codec import Watermark, WatermarkLayout, assemble, disassemble, extract_lsb
-from .features import FeatureConfig, challenge_matrix, downsample, feature_images, _check_gray
+from .features import FeatureConfig, challenge_matrix, downsample, _check_gray
 from .imager import chip_seed
 from .puf import EnrollmentDB, EnrollmentRecord, Fingerprint, puf_query
 
@@ -91,7 +91,7 @@ def challenge_grid(img: np.ndarray, grid_dim: int) -> np.ndarray:
 
 def image_challenge(img: np.ndarray, cfg: FeatureConfig, grid_dim: int) -> np.ndarray:
     """Challenge address bytes for an image: ``challenge_grid``, then quantize."""
-    return challenge_matrix(feature_images(challenge_grid(img, grid_dim), cfg))
+    return challenge_matrix(challenge_grid(img, grid_dim), cfg)
 
 
 def generate_watermark(img: np.ndarray, record: EnrollmentRecord,
@@ -273,35 +273,28 @@ def tolerant_flip_frac(clean: np.ndarray, noisy: list[np.ndarray],
     ``clean`` and each of ``noisy`` are the ``challenge_grid`` of an image;
     the result holds the flip fraction of every noisy grid (columns) at
     every overlap (rows). A grid cell only counts as flipped when its noisy
-    band memberships share no plane with the clean ones, i.e. the noisy
-    value escaped the clean band widened by overlap/2 on each side (the
-    comparator-with-hysteresis behavior the overlap exists to provide).
+    address byte ANDs to zero with the clean one at that overlap, i.e. the
+    noisy value escaped the clean band widened by overlap/2 on each side
+    (the comparator-with-hysteresis behavior the overlap exists to provide).
     Flipped cells are charged their single-threshold bit difference: the
     challenge address bits plus the two response lookups. With overlap 0
     this is exactly the plain Hamming fraction over the challenge and
     response blocks; wider overlaps can only remove flip events, never add
-    them, because memberships grow with the overlap. Each grid's challenge,
-    responses and overlap planes are built once.
+    them, because memberships grow with the overlap. All grids are stacked
+    once and quantized and queried together.
     """
-    single = FeatureConfig()
-    c_clean = challenge_matrix(feature_images(clean, single))
-    resp_clean = puf_query(record, c_clean)
-    charges = []
-    for grid in noisy:
-        c_noisy = challenge_matrix(feature_images(grid, single))
-        resp_noisy = puf_query(record, c_noisy)
-        charges.append(np.bitwise_count(c_clean ^ c_noisy)
-                       + (resp_clean.r_h != resp_noisy.r_h)
-                       + (resp_clean.r_v != resp_noisy.r_v))
-
+    cfgs = [FeatureConfig(overlap=overlap) for overlap in overlaps]
+    grids = np.stack([clean, *noisy])
+    single = challenge_matrix(grids, FeatureConfig())
+    resp = puf_query(record, single)
+    charges = (np.bitwise_count(single[0] ^ single[1:])
+               + (resp.r_h[0] != resp.r_h[1:]) + (resp.r_v[0] != resp.r_v[1:]))
     total = layout.challenge_bits + 2 * layout.response_bits
-    flips = np.zeros((len(overlaps), len(noisy)))
-    for i, overlap in enumerate(overlaps):
-        cfg = FeatureConfig(overlap=overlap)
-        clean_planes = feature_images(clean, cfg)
-        for j, grid in enumerate(noisy):
-            consistent = np.any(clean_planes & feature_images(grid, cfg), axis=0)
-            flips[i, j] = int(charges[j][~consistent].sum()) / total
+    flips = np.empty((len(cfgs), len(noisy)))
+    for i, cfg in enumerate(cfgs):
+        bands = challenge_matrix(grids, cfg)
+        escaped = (bands[0] & bands[1:]) == 0
+        flips[i] = charges.sum(axis=(1, 2), where=escaped, dtype=np.int64) / total
     return flips
 
 

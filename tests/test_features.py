@@ -180,9 +180,8 @@ def test_downsample_streams_in_place():
 def test_challenge_matrix_band_nibbles():
     cfg = FeatureConfig()
     values = np.array([[16, 255, 140, 100]], dtype=np.uint8)  # bands 1, 8, 5, 4
-    # square grid required: tile to 4x4
     img = np.repeat(values, 4, axis=0)
-    addrs = challenge_matrix(feature_images(img, cfg))
+    addrs = challenge_matrix(img, cfg)
     assert addrs.shape == (4, 4) and addrs.dtype == np.uint8
     assert addrs[0, 0] == 0x80   # band 1 -> row MSB
     assert addrs[0, 1] == 0x01   # band 8 -> col LSB
@@ -193,19 +192,36 @@ def test_challenge_matrix_band_nibbles():
 def test_challenge_matrix_double_threshold_cell():
     cfg = FeatureConfig(overlap=6)
     img = np.full((2, 2), 126, dtype=np.uint8)  # |126-128| <= 3: bands 4 and 5
-    addrs = challenge_matrix(feature_images(img, cfg))
+    addrs = challenge_matrix(img, cfg)
     assert addrs[0, 0] == 0x18
     rng = np.random.default_rng(11)
-    planes = feature_images(rng.integers(0, 256, (16, 16)).astype(np.uint8), cfg)
-    assert np.array_equal(challenge_matrix(planes), np.packbits(planes, axis=0)[0])
+    grid = rng.integers(0, 256, (16, 16)).astype(np.uint8)
+    assert np.array_equal(challenge_matrix(grid, cfg),
+                          np.packbits(feature_images(grid, cfg), axis=0)[0])
 
 
-def test_challenge_matrix_requires_l8_and_square():
-    with pytest.raises(ValueError):
-        challenge_matrix(np.zeros((4, 4, 4), dtype=np.uint8))   # 4 planes, not 8
-    wide = feature_images(np.zeros((2, 4), dtype=np.uint8), FeatureConfig())
-    with pytest.raises(ValueError):
-        challenge_matrix(wide)
+def test_challenge_matrix_rejects_non_uint8_grid():
+    # an int64 -1 would index the table's last entry, level 255
+    with pytest.raises(ValueError, match="uint8"):
+        challenge_matrix(np.array([[-1, 0], [0, 0]], dtype=np.int64), FeatureConfig())
+
+
+OVERLAPS = st.one_of(st.just(0.0), st.integers(0, 31).map(float),
+                     st.floats(0, 32, exclude_max=True, allow_nan=False))
+
+
+@FUZZ
+@given(shape=st.sampled_from([(1, 1), (5, 7), (16, 16), (3, 4, 4), (2, 1, 9)]),
+       overlap=OVERLAPS, seed=st.integers(0, 2 ** 32 - 1))
+def test_challenge_matrix_equals_packed_planes(shape, overlap, seed):
+    # the lookup table against the nested-signum planes, cell by cell; a
+    # 3-D stack is compared slice by slice
+    cfg = FeatureConfig(overlap=overlap)
+    grid = np.random.default_rng(seed).integers(0, 256, shape, dtype=np.uint8)
+    addrs = challenge_matrix(grid, cfg)
+    assert addrs.shape == grid.shape and addrs.dtype == np.uint8
+    for layer, out in zip(grid.reshape((-1,) + shape[-2:]), addrs.reshape((-1,) + shape[-2:])):
+        assert np.array_equal(out, np.packbits(feature_images(layer, cfg), axis=0)[0])
 
 
 def test_feature_images_rejects_bad_input():

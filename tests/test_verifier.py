@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from spadmark import (EnrollmentDB, Fingerprint, Thresholds, WatermarkLayout,
-                      add_gaussian_noise, assemble, disassemble, embed_lsb,
+from spadmark import (EnrollmentDB, FeatureConfig, Fingerprint, Thresholds, WatermarkLayout,
+                      add_gaussian_noise, assemble, disassemble, embed_lsb, feature_images,
                       generate_watermark, hamming_frac, identify_source,
                       psnr, puf_query, robustness_sweep, sensitivity, verify)
 from spadmark import features, verifier
@@ -470,17 +470,63 @@ def test_robustness_sweep_table_shape(records, host_images):
 
 def test_robustness_sweep_downsamples_each_image_once(records, host_images, monkeypatch):
     calls = {}
-    for name in ("downsample", "puf_query", "feature_images"):
-        def counted(*args, _fn=getattr(verifier, name), _name=name, **kwargs):
+    for module, name in ((verifier, "downsample"), (verifier, "puf_query"),
+                         (features, "feature_images")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(verifier, name, counted)
+        monkeypatch.setattr(module, name, counted)
     sigmas, overlaps, seeds = [6, 18], [0, 6, 12], [101, 102]
     robustness_sweep(host_images[0], records[0], sigmas, overlaps, seeds)
     grids = 1 + len(sigmas) * len(seeds)
     assert calls["downsample"] == grids
-    assert calls["puf_query"] == grids      # one single-threshold lookup per grid
-    assert calls["feature_images"] <= (1 + len(overlaps)) * grids
+    assert calls["puf_query"] == 1          # one lookup over the stacked grids
+    # one 256-level table for single thresholds, one per overlap
+    assert calls["feature_images"] == 1 + len(overlaps)
+
+
+def _reference_flip_frac(clean, noisy, record, overlaps, layout):
+    """The per-(overlap, grid) band-plane loop ``tolerant_flip_frac`` replaced."""
+    single = FeatureConfig()
+
+    def addresses(grid, cfg):
+        return np.packbits(feature_images(grid, cfg), axis=0)[0]
+    c_clean = addresses(clean, single)
+    resp_clean = puf_query(record, c_clean)
+    charges = []
+    for grid in noisy:
+        c_noisy = addresses(grid, single)
+        resp_noisy = puf_query(record, c_noisy)
+        charges.append(np.bitwise_count(c_clean ^ c_noisy)
+                       + (resp_clean.r_h != resp_noisy.r_h)
+                       + (resp_clean.r_v != resp_noisy.r_v))
+    total = layout.challenge_bits + 2 * layout.response_bits
+    flips = np.zeros((len(overlaps), len(noisy)))
+    for i, overlap in enumerate(overlaps):
+        cfg = FeatureConfig(overlap=overlap)
+        clean_planes = feature_images(clean, cfg)
+        for j, grid in enumerate(noisy):
+            consistent = np.any(clean_planes & feature_images(grid, cfg), axis=0)
+            flips[i, j] = int(charges[j][~consistent].sum()) / total
+    return flips
+
+
+@FUZZ
+@given(grid_dim=st.integers(1, 16), n_noisy=st.integers(1, 4),
+       overlaps=st.lists(st.one_of(st.just(0.0), st.floats(0, 32, exclude_max=True)),
+                         min_size=1, max_size=4),
+       spread=st.integers(0, 255), seed=st.integers(0, 2 ** 32 - 1))
+def test_tolerant_flip_frac_equals_plane_loop(records, grid_dim, n_noisy, overlaps,
+                                              spread, seed):
+    # noisy grids are the clean one moved by up to +-spread levels
+    rng = np.random.default_rng(seed)
+    clean = rng.integers(0, 256, (grid_dim, grid_dim), dtype=np.uint8)
+    noisy = [np.clip(clean + rng.integers(-spread, spread + 1, clean.shape), 0, 255)
+             .astype(np.uint8) for _ in range(n_noisy)]
+    layout = WatermarkLayout(grid_dim=grid_dim)
+    flips = tolerant_flip_frac(clean, noisy, records[0], overlaps, layout)
+    reference = _reference_flip_frac(clean, noisy, records[0], overlaps, layout)
+    assert flips.shape == reference.shape and (flips == reference).all()
 
 
 def test_report_bitmaps(records, enrolled_db, host_images):
