@@ -10,6 +10,7 @@ the rate field, accumulated over a configurable number of exposures.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from numbers import Integral, Real
 from pathlib import Path
@@ -38,8 +39,8 @@ class ChipParams:
 
     def __post_init__(self) -> None:
         for name, value in asdict(self).items():
-            if not isinstance(value, Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not isinstance(value, Real) or not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not isinstance(self.array_dim, Integral) or self.array_dim < 2:
             raise ValueError(f"array_dim must be an integer >= 2, got {self.array_dim}")
         if self.dcr_median <= 0:
@@ -82,6 +83,10 @@ class AcquisitionConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("temperature", "exposure"):
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:     # also rejects NaN
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.exposure < 0:
             raise ValueError(f"exposure must be >= 0, got {self.exposure}")
         if self.n_frames < 1:

@@ -219,7 +219,8 @@ def _gaussian_noise(pixels: np.ndarray, sigmas: list[float], seed: int) -> list[
         z = rng.standard_normal(out=normal[:stop - start])
         v = noisy[:stop - start]
         for sigma, out in zip(sigmas, outs):
-            np.multiply(z, sigma, out=v)
+            with np.errstate(over="ignore"):    # a huge sigma clips to 0 or 255
+                np.multiply(z, sigma, out=v)
             v += flat[start:stop]
             np.clip(np.rint(v, out=v), 0, 255, out=v)
             out[start:stop] = v
@@ -319,6 +320,8 @@ def robustness_sweep(img: np.ndarray, record: EnrollmentRecord,
         raise ValueError("need at least one overlap")
     if not seeds:
         raise ValueError("need at least one noise seed")
+    for overlap in overlaps:    # checked before any noise is drawn
+        FeatureConfig(overlap=overlap)
     layout = layout or WatermarkLayout(puf_dim=record.fingerprint.bits.shape[0])
     d = layout.grid_dim
     pixels = _check_gray(img)

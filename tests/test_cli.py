@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,49 @@ def test_chip_new_rejects_negative_seed(tmp_path, capsys):
     assert not (db / "chip1.chip.json").exists()
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--dcr-median", "nan", "dcr_median"),
+    ("--dcr-sigma", "inf", "dcr_sigma"),
+    ("--doubling-temp", "nan", "doubling_temp_mean"),
+    ("--doubling-temp-jitter", "inf", "doubling_temp_jitter"),
+    ("--ref-temp", "-inf", "ref_temp"),
+])
+def test_chip_new_rejects_non_finite_params(tmp_path, capsys, flag, value, field):
+    # NaN was written to the chip file as a bare NaN token, which is not JSON
+    db = tmp_path / "db"
+    assert main(["--db-dir", str(db), "chip", "new", "c", "--seed", "3", f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"wm: error: {field} must be a finite number, got {float(value)!r}"]
+    assert not (db / "c.chip.json").exists()
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--exposure", "nan", "exposure"),
+    ("--exposure", "inf", "exposure"),
+    ("--temperature", "nan", "temperature"),
+    ("--temperature", "-inf", "temperature"),
+])
+def test_chip_enroll_rejects_non_finite_acquisition(tmp_path, capsys, flag, value, field):
+    # these reached numpy's Poisson draw, which said only "lam value too large"
+    db = _setup_db(tmp_path, n_chips=1, enroll_chips=False)
+    capsys.readouterr()
+    assert main(["--db-dir", str(db), "chip", "enroll", "chip1", f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"wm: error: {field} must be a finite number, got {float(value)!r}"]
+    assert not (db / "chip1.enroll.json").exists()
+
+
+def test_chip_enroll_rejects_non_finite_chip_file(tmp_path, capsys):
+    db = tmp_path / "db"
+    db.mkdir()
+    chip = db / "chip1.chip.json"
+    chip.write_text('{"chip_id": "chip1", "seed": 3, "params": {"dcr_median": NaN}}')
+    assert main(["--db-dir", str(db), "chip", "enroll", "chip1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(chip) in err[0] and "dcr_median must be a finite number" in err[0]
+    assert not (db / "chip1.enroll.json").exists()
+
+
 def test_mark_capacity_and_io_errors(tmp_path):
     db = _setup_db(tmp_path, n_chips=1)
     small = tmp_path / "small.pgm"
@@ -305,6 +349,7 @@ def test_mark_rejects_nan_overlap(tmp_path, capsys):
     ("--sigmas", "-1", "sigma must be a finite number >= 0, got -1.0"),
     ("--sigmas", ",", "need at least one noise sigma"),
     ("--overlaps", ",", "need at least one overlap"),
+    ("--overlaps", "0,nan", "overlap must be in [0, 32), got nan"),
     ("--noise-seeds", ",", "need at least one noise seed"),
     ("--noise-seeds", "101,-1", "seed must be a non-negative integer, got -1"),
 ])
@@ -318,6 +363,22 @@ def test_experiment_robustness_rejects_bad_lists(tmp_path, capsys, flag, value, 
                  "--image", str(img_path), f"{flag}={value}", "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"wm: error: {reason}"]
     assert not (out / "robustness.csv").exists()
+
+
+def test_experiment_robustness_huge_sigma_clips_without_warning(tmp_path, capsys):
+    # sigma * z overflows to +-inf, which clips to 255 or 0: no RuntimeWarning
+    db = _setup_db(tmp_path, n_chips=1)
+    img_path = tmp_path / "img0.pgm"
+    write_pgm(make_image(0), img_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--db-dir", str(db), "experiment", "robustness", "--chip", "chip1",
+                     "--image", str(img_path), "--sigmas", "1e308", "--overlaps", "0",
+                     "--noise-seeds", "101", "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len((out / "robustness.csv").read_text().splitlines()) == 2
 
 
 def test_consecutive_calls_parse_independently(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 from contextlib import suppress
 from dataclasses import asdict
 
@@ -35,6 +36,17 @@ def test_acquisition_validation():
         AcquisitionConfig(exposure=-0.1)
     with pytest.raises(ValueError):
         AcquisitionConfig(n_frames=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_float_fields_must_be_finite(value):
+    for name in ("dcr_median", "dcr_sigma", "doubling_temp_mean",
+                 "doubling_temp_jitter", "ref_temp", "gate_voltage"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            ChipParams(**{name: value})
+    for name in ("temperature", "exposure"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            AcquisitionConfig(**{name: value})
 
 
 def test_new_chip_deterministic():

@@ -485,6 +485,16 @@ def test_robustness_sweep_downsamples_each_image_once(records, host_images, monk
     assert calls["feature_images"] == 1 + len(overlaps)
 
 
+@pytest.mark.parametrize("overlap", [math.nan, -1.0, 32.0, 40.0])
+def test_robustness_sweep_rejects_overlap_before_noise(records, host_images, monkeypatch,
+                                                         overlap):
+    calls = []
+    monkeypatch.setattr(verifier, "downsample", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="overlap must be in"):
+        robustness_sweep(host_images[0], records[0], [6, 18], [0, overlap], [101])
+    assert calls == []
+
+
 def _reference_flip_frac(clean, noisy, record, overlaps, layout):
     """The per-(overlap, grid) band-plane loop ``tolerant_flip_frac`` replaced."""
     single = FeatureConfig()
