@@ -19,9 +19,9 @@ from .features import FeatureConfig
 from .imager import AcquisitionConfig, ChipParams, chip_path, load_chip, new_chip, save_chip
 from .puf import enroll, enrollment_path, load_enrollment, load_enrollment_db, save_enrollment
 from .verifier import (AUTHENTIC, TAMPERED, UNKNOWN_SOURCE, Thresholds,
-                       generate_watermark, hamming_frac, psnr,
-                       robustness_sweep, sensitivity, tamper_bitmap, verify,
-                       watermark_bitmap)
+                       generate_watermark, hamming_frac, robustness_sweep,
+                       sensitivity, tamper_bitmap, verify, watermark_bitmap,
+                       _psnr_db)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -98,13 +98,18 @@ def cmd_mark(args) -> int:
     layout = WatermarkLayout(grid_dim=args.grid_dim, puf_dim=record.fingerprint.bits.shape[0])
     img = read_pgm(args.image)
     wm = generate_watermark(img, record, features, layout, response_map=args.response_map)
-    marked = embed_lsb(img, wm)
+    # read_pgm's array is ours alone: mark it in place. The pixels the
+    # payload changes differ by exactly 1, so the changed LSBs are the
+    # squared error that psnr(img, marked) would sum over the whole host.
+    old_lsbs = img.reshape(-1)[:wm.layout.total_bits] & 1
+    marked = embed_lsb(img, wm, out=img)
+    sse = int(np.count_nonzero(old_lsbs != wm.bits))
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.image).parent
     stem = Path(args.image).stem
     marked_path = write_pgm(marked, out_dir / f"{stem}.marked.pgm")
     sidecar_path = save_watermark(wm, out_dir / f"{stem}.wm.txt")
     print(f"marked {args.image} with {args.chip}: {wm.layout.total_bits} bits, "
-          f"PSNR {psnr(img, marked):.2f} dB")
+          f"PSNR {_psnr_db(sse, img.size):.2f} dB")
     print(f"wrote {marked_path} and {sidecar_path}")
     return EXIT_OK
 

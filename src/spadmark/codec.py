@@ -112,9 +112,14 @@ def disassemble(wm: Watermark) -> tuple[np.ndarray, ResponsePair, Fingerprint]:
     return challenge, response, fp
 
 
-def embed_lsb(host: np.ndarray, wm: Watermark) -> np.ndarray:
+def embed_lsb(host: np.ndarray, wm: Watermark, out: np.ndarray | None = None) -> np.ndarray:
     """Replace the LSBs of the first total_bits pixels (row-major) with the
-    watermark. Upper bit planes and trailing pixels are untouched."""
+    watermark. Upper bit planes and trailing pixels are untouched.
+
+    The marked image is written to ``out`` and returned: by default a new
+    copy of the host, else a C-contiguous uint8 array of the host's shape,
+    which may be ``host`` itself, marked in place with no full-size pass.
+    """
     pixels = _check_gray(host)
     n = wm.layout.total_bits
     if pixels.size < n:
@@ -122,7 +127,13 @@ def embed_lsb(host: np.ndarray, wm: Watermark) -> np.ndarray:
     bits = np.asarray(wm.bits, dtype=np.uint8)
     if bits.size != n:
         raise ValueError(f"watermark holds {bits.size} bits, layout expects {n}")
-    out = pixels.copy()
+    if out is None:
+        out = pixels.copy()
+    elif (out.shape != pixels.shape or out.dtype != np.uint8
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous uint8 array of shape {pixels.shape}")
+    elif out is not pixels:
+        out[...] = pixels
     flat = out.reshape(-1)
     flat[:n] = (flat[:n] & 0xFE) | bits
     return out
@@ -179,7 +190,11 @@ def _int_token(data: bytearray, pos: int, what: str) -> tuple[int, int]:
 
 def read_pgm(path: str | Path) -> np.ndarray:
     """Read a binary (P5) 8-bit PGM file into a 2-D uint8 array: a view of
-    the one buffer the file is read into, so the pixels are not copied."""
+    the one buffer the file is read into, so the pixels are not copied.
+
+    That buffer is a private ``bytearray`` that nothing else references,
+    so the array is writable and the caller owns it: ``wm mark`` embeds
+    the watermark into it in place."""
     with open(path, "rb") as f:
         data = bytearray(os.fstat(f.fileno()).st_size)
         del data[f.readinto(data):]

@@ -1,17 +1,18 @@
 """Intensity-band feature planes and challenge-address construction.
 
 Every challenge is built in one sequence: ``verifier.challenge_grid``
-clears the host's LSB plane, block-averages to the challenge grid
-(``downsample``) and clears the grid's LSB plane; ``challenge_matrix`` then
-maps each cell's level to one address byte, its L = 8 ``feature_images``
-band planes packed plane 1 first: planes 1-4 form the high nibble, the row
-of the relative maps, and planes 5-8 the low nibble, the column. A byte
-depends on its cell's level alone, so the 256 levels are quantized once
-into a lookup table and the planes never leave this module. That uint8
-array of address bytes is the challenge in every layer: ``puf.puf_query``
-splits each byte into its row and column, two cells share a band when
-their bytes AND to nonzero, and the watermark payload carries the bytes.
-Both LSB clears live in ``challenge_grid``, which says why each is needed.
+block-averages the host to the challenge grid with its LSB plane cleared
+(``downsample``, which masks strip by strip) and clears the grid's LSB
+plane; ``challenge_matrix`` then maps each cell's level to one address
+byte, its L = 8 ``feature_images`` band planes packed plane 1 first:
+planes 1-4 form the high nibble, the row of the relative maps, and planes
+5-8 the low nibble, the column. A byte depends on its cell's level alone,
+so the 256 levels are quantized once into a lookup table and the planes
+never leave this module. That uint8 array of address bytes is the
+challenge in every layer: ``puf.puf_query`` splits each byte into its row
+and column, two cells share a band when their bytes AND to nonzero, and
+the watermark payload carries the bytes. Both LSB clears live in
+``challenge_grid``, which says why each is needed.
 
 Plane i is computed with a nested signum expression
 
@@ -86,11 +87,13 @@ def feature_images(img: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     return planes
 
 
-def downsample(img: np.ndarray, grid_dim: int) -> np.ndarray:
+def downsample(img: np.ndarray, grid_dim: int, *, clear_lsb: bool = False) -> np.ndarray:
     """Block-mean an image down to grid_dim x grid_dim, truncating toward zero.
 
     Integer arithmetic throughout, so the result is bit-exact regardless of
-    platform. Both image dimensions must be divisible by grid_dim.
+    platform. Both image dimensions must be divisible by grid_dim. With
+    ``clear_lsb`` the means are those of ``img & 0xFE``, without a
+    full-size copy: each strip is masked into one reused strip buffer.
 
     The host is streamed k block-rows at a time, with k * bh * w about
     ``STRIP_PIXELS``, so each strip stays in cache and one row buffer serves
@@ -107,9 +110,12 @@ def downsample(img: np.ndarray, grid_dim: int) -> np.ndarray:
     k = min(grid_dim, max(1, STRIP_PIXELS // (bh * w)))
     rows = np.empty((k, w), dtype=np.uint32 if bh * 255 < 2 ** 32 else np.uint64)
     sums = np.empty((grid_dim, grid_dim), dtype=np.int64)
+    masked = np.empty((k, bh, w), dtype=np.uint8) if clear_lsb else None
     for top in range(0, grid_dim, k):
         n = min(k, grid_dim - top)
         strip = pixels[top * bh:(top + n) * bh].reshape(n, bh, w)
+        if clear_lsb:
+            strip = np.bitwise_and(strip, 0xFE, out=masked[:n])
         np.sum(strip, axis=1, dtype=rows.dtype, out=rows[:n])
         np.sum(rows[:n].reshape(n, grid_dim, bw), axis=2, dtype=np.int64,
                out=sums[top:top + n])

@@ -17,6 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
+# The most dark counts a pixel may expect: numpy's Poisson limit (int64 max
+# less ten standard deviations), so a draw, and a count map of int64 sums,
+# cannot overflow. Rates are counts/s; at most this many keep a one-second
+# frame drawable.
+MAX_COUNTS = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
 
 @dataclass(frozen=True)
 class ChipParams:
@@ -124,7 +130,9 @@ def new_chip(chip_id: str, seed: int, params: ChipParams | None = None) -> ChipM
 
     The doubling temperature is normal with the configured mean/jitter,
     clamped at half the mean so no pixel gets a degenerate near-zero
-    coefficient. Everything is fully determined by (seed, params).
+    coefficient. Everything is fully determined by (seed, params). A rate
+    above ``MAX_COUNTS`` counts/s, infinite included, raises ValueError
+    naming ``dcr_median`` and ``dcr_sigma``: no acquisition could draw it.
     """
     seed = chip_seed(seed)
     params = params or ChipParams()
@@ -132,7 +140,6 @@ def new_chip(chip_id: str, seed: int, params: ChipParams | None = None) -> ChipM
     rng = np.random.default_rng(seed)
     lattice = rng.standard_normal((dim, dim))
     log_field = (lattice - np.roll(lattice, (1, -1), axis=(0, 1))) * np.sqrt(0.5)
-    dcr_ref = params.dcr_median * 10.0 ** (params.dcr_sigma * log_field)
     # Doubling temperatures drift smoothly across the die (2x2 block average,
     # still exactly N(mean, jitter^2) per pixel): neighbors share most of
     # their thermal coefficient, so heating rescales neighbor pairs almost
@@ -140,7 +147,15 @@ def new_chip(chip_id: str, seed: int, params: ChipParams | None = None) -> ChipM
     grad = rng.standard_normal((dim, dim))
     smooth = 0.5 * (grad + np.roll(grad, 1, axis=0) + np.roll(grad, 1, axis=1)
                     + np.roll(grad, (1, 1), axis=(0, 1)))
-    doubling = params.doubling_temp_mean + params.doubling_temp_jitter * smooth
+    with np.errstate(over="ignore"):    # checked below, or clamped
+        dcr_ref = params.dcr_median * 10.0 ** (params.dcr_sigma * log_field)
+        doubling = params.doubling_temp_mean + params.doubling_temp_jitter * smooth
+    peak = dcr_ref.max()
+    if not peak <= MAX_COUNTS:
+        raise ValueError(
+            f"dcr_median {params.dcr_median:g} and dcr_sigma {params.dcr_sigma:g} give "
+            f"dark count rates up to {peak:.3g} counts/s, above the {MAX_COUNTS:.3g} "
+            f"an acquisition can draw")
     doubling = np.maximum(doubling, 0.5 * params.doubling_temp_mean)
     return ChipModel(chip_id=chip_id, seed=seed, params=params,
                      dcr_ref=dcr_ref, doubling_temp=doubling)
@@ -161,9 +176,19 @@ def acquire_dcm(chip: ChipModel, cfg: AcquisitionConfig) -> DarkCountMap:
 
     Each frame draws an independent Poisson count per pixel with mean
     rate * exposure; frames are summed. Deterministic given cfg.rng_seed.
+    A pixel expecting more than ``MAX_COUNTS`` over all frames (an
+    infinite or NaN rate included) raises ValueError naming the exposure
+    and temperature before anything is drawn.
     """
     rng = np.random.default_rng(cfg.rng_seed)
-    mean_per_frame = dcr_map(chip, cfg.temperature) * cfg.exposure
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_per_frame = dcr_map(chip, cfg.temperature) * cfg.exposure
+        peak = float(mean_per_frame.max()) * cfg.n_frames
+    if not peak <= MAX_COUNTS:
+        raise ValueError(
+            f"exposure {cfg.exposure:g} s at temperature {cfg.temperature:g} C gives up to "
+            f"{peak:.3g} dark counts a pixel over {cfg.n_frames} frames, above the "
+            f"{MAX_COUNTS:.3g} a count map holds")
     counts = np.zeros(mean_per_frame.shape, dtype=np.int64)
     for _ in range(cfg.n_frames):
         counts += rng.poisson(mean_per_frame)
@@ -215,4 +240,8 @@ def load_chip(path: str | Path) -> ChipModel:
     """Regenerate a saved chip; a malformed file raises ValueError naming it."""
     field = json_record(path)
     params = field("params", lambda fields: ChipParams(**fields))
-    return new_chip(field("chip_id", str), field("seed", chip_seed), params)
+    chip_id, seed = field("chip_id", str), field("seed", chip_seed)
+    try:
+        return new_chip(chip_id, seed, params)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -12,9 +12,10 @@ up as response mismatches.
 
 Marking, verification and the robustness sweep build every challenge the
 same way: ``challenge_grid``, then ``image_challenge`` (see ``features``).
-``challenge_grid`` is the one place that clears LSBs, twice: on the host at
-full resolution, so the payload cannot leak into the block means, and on
-the grid, because the served watermark bytes were defined with that clear.
+``challenge_grid`` is the one place that clears LSBs, twice: on the host,
+strip by strip inside ``downsample``, so the payload cannot leak into the
+block means, and on the grid, because the served watermark bytes were
+defined with that clear.
 """
 
 from __future__ import annotations
@@ -79,14 +80,15 @@ def challenge_grid(img: np.ndarray, grid_dim: int) -> np.ndarray:
     """Block-mean grid of an image, with the LSB plane cleared before and
     after the block mean: the challenge ignores the LSB plane.
 
-    The first clear, at full resolution, keeps the payload bits out of the
-    means, so the recomputed challenge of a marked image is bit-identical
-    to the original's. The second, on the grid, is not redundant: a block
-    mean can be odd, and clearing the LSB of a mean one above a band edge
-    (33, 65, ...) moves that cell into the lower band. Served watermarks
-    depend on it.
+    The first clear, of the host's pixels, keeps the payload bits out of
+    the means, so the recomputed challenge of a marked image is
+    bit-identical to the original's; ``downsample`` makes it strip by
+    strip, so the host is neither copied nor written. The second, on the
+    grid, is not redundant: a block mean can be odd, and clearing the LSB
+    of a mean one above a band edge (33, 65, ...) moves that cell into the
+    lower band. Served watermarks depend on it.
     """
-    return downsample(_check_gray(img) & 0xFE, grid_dim) & 0xFE
+    return downsample(img, grid_dim, clear_lsb=True) & 0xFE
 
 
 def image_challenge(img: np.ndarray, cfg: FeatureConfig, grid_dim: int) -> np.ndarray:
@@ -261,9 +263,15 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
         np.maximum(xs, ys, out=d)
         d -= np.minimum(xs, ys)
         sse += int(np.multiply(d, d, dtype=np.uint16).sum(dtype=np.uint64))
+    return _psnr_db(sse, x.size)
+
+
+def _psnr_db(sse: int, size: int) -> float:
+    """PSNR in dB of an exact integer squared-error sum over ``size`` 8-bit
+    pixels; +inf when the sum is 0."""
     if sse == 0:
         return math.inf
-    return 10.0 * math.log10(255.0 ** 2 / (sse / x.size))
+    return 10.0 * math.log10(255.0 ** 2 / (sse / size))
 
 
 def tolerant_flip_frac(clean: np.ndarray, noisy: list[np.ndarray],

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 
 import spadmark
-from spadmark import (FeatureConfig, generate_watermark, load_enrollment, load_watermark,
-                      read_pgm, write_pgm)
+from spadmark import (FeatureConfig, embed_lsb, generate_watermark, load_enrollment,
+                      load_watermark, psnr, read_pgm, write_pgm)
 from spadmark.cli import build_parser, main
-from conftest import make_image
+from conftest import make_image, traced_peak_bytes
 
 
 def _setup_db(tmp_path, n_chips=3, enroll_chips=True):
@@ -307,6 +308,40 @@ def test_chip_enroll_rejects_non_finite_acquisition(tmp_path, capsys, flag, valu
     assert not (db / "chip1.enroll.json").exists()
 
 
+@pytest.mark.parametrize("flag,value,named", [
+    ("--exposure", "1e30", "exposure 1e+30 s"),
+    ("--temperature", "1e6", "temperature 1e+06 C"),
+])
+def test_chip_enroll_rejects_undrawable_mean(tmp_path, capsys, flag, value, named):
+    # finite but too many counts: numpy's Poisson draw said only "lam value
+    # too large", after an overflow RuntimeWarning for the temperature
+    db = _setup_db(tmp_path, n_chips=1, enroll_chips=False)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--db-dir", str(db), "chip", "enroll", "chip1", f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("wm: error: ") and named in err[0]
+    assert not (db / "chip1.enroll.json").exists()
+
+
+@pytest.mark.parametrize("flag,value,named", [
+    ("--dcr-sigma", "400", "dcr_sigma 400"),
+    ("--dcr-median", "1e300", "dcr_median 1e+300"),
+])
+def test_chip_new_rejects_undrawable_rates(tmp_path, capsys, flag, value, named):
+    # sigma 400 overflowed to infinite rates with two RuntimeWarnings and
+    # exited 0; a median of 1e300 wrote a chip no enrollment could draw from
+    db = tmp_path / "db"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--db-dir", str(db), "chip", "new", "c", "--seed", "3",
+                     f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("wm: error: ") and named in err[0]
+    assert not (db / "c.chip.json").exists()
+
+
 def test_chip_enroll_rejects_non_finite_chip_file(tmp_path, capsys):
     db = tmp_path / "db"
     db.mkdir()
@@ -329,6 +364,72 @@ def test_mark_capacity_and_io_errors(tmp_path):
     garbage.write_bytes(b"JFIF not a pgm")
     assert main(["--db-dir", str(db), "mark", str(garbage), "--chip", "chip1"]) == 1
     assert main(["--db-dir", str(db), "bogus-command"]) == 1
+
+
+@pytest.mark.parametrize("out_dir", [None, "input", "other"])
+def test_mark_leaves_input_unchanged(tmp_path, out_dir):
+    # the host is marked in the buffer read_pgm returned, never in the file
+    db = _setup_db(tmp_path, n_chips=1)
+    img_path = write_pgm(make_image(0), tmp_path / "scene.pgm")
+    raw = img_path.read_bytes()
+    out = tmp_path / "out" if out_dir == "other" else tmp_path
+    argv = ["--db-dir", str(db), "mark", str(img_path), "--chip", "chip1"]
+    assert main(argv + ([] if out_dir is None else ["--out-dir", str(out)])) == 0
+    assert img_path.read_bytes() == raw
+    host = read_pgm(img_path)
+    wm = generate_watermark(host, load_enrollment(db / "chip1.enroll.json"))
+    assert np.array_equal(read_pgm(out / "scene.marked.pgm"), embed_lsb(host, wm))
+
+
+def test_mark_makes_no_full_size_copy(tmp_path):
+    db = _setup_db(tmp_path, n_chips=1)
+    img_path = write_pgm(make_image(0, size=2048), tmp_path / "scene.pgm")
+    argv = ["--db-dir", str(db), "mark", str(img_path), "--chip", "chip1"]
+    # the one buffer read_pgm fills; the LSB-cleared copy for the
+    # challenge and the marked copy each added a byte per pixel
+    assert traced_peak_bytes(lambda: main(argv)) / 2048 ** 2 < 1.5
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_mark_from_pipe_matches_file(tmp_path):
+    db = _setup_db(tmp_path, n_chips=1)
+    raw = write_pgm(make_image(1), tmp_path / "scene.pgm").read_bytes()
+    assert main(["--db-dir", str(db), "mark", str(tmp_path / "scene.pgm"), "--chip", "chip1",
+                 "--out-dir", str(tmp_path / "from_file")]) == 0
+    fifo = tmp_path / "pipe" / "scene.pgm"
+    fifo.parent.mkdir()
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(raw,))
+    writer.start()
+    try:
+        assert main(["--db-dir", str(db), "mark", str(fifo), "--chip", "chip1",
+                     "--out-dir", str(tmp_path / "from_pipe")]) == 0
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    for name in ("scene.marked.pgm", "scene.wm.txt"):
+        assert (tmp_path / "from_pipe" / name).read_bytes() == \
+            (tmp_path / "from_file" / name).read_bytes()
+
+
+def test_mark_prints_psnr_of_marked_host(tmp_path, capsys):
+    # the PSNR is taken from the count of changed LSBs, not from the images
+    db = _setup_db(tmp_path, n_chips=1)
+    record = load_enrollment(db / "chip1.enroll.json")
+    hosts = [make_image(0), make_image(2),
+             np.random.default_rng(8).integers(0, 256, (512, 512), dtype=np.uint8),
+             np.zeros((512, 512), dtype=np.uint8), np.full((256, 1024), 255, dtype=np.uint8)]
+    for i, host in enumerate(hosts):
+        path = write_pgm(host, tmp_path / f"host{i}.pgm")
+        capsys.readouterr()
+        assert main(["--db-dir", str(db), "mark", str(path), "--chip", "chip1"]) == 0
+        marked = embed_lsb(host, generate_watermark(host, record))
+        assert f"PSNR {psnr(host, marked):.2f} dB" in capsys.readouterr().out
+    # a marked image already carries its own watermark
+    capsys.readouterr()
+    assert main(["--db-dir", str(db), "mark", str(tmp_path / "host0.marked.pgm"),
+                 "--chip", "chip1"]) == 0
+    assert "PSNR inf dB" in capsys.readouterr().out
 
 
 def test_mark_rejects_nan_overlap(tmp_path, capsys):

@@ -116,6 +116,24 @@ def test_embed_extract_round_trip():
                           host.ravel()[layout.total_bits:])
 
 
+def test_embed_lsb_into_out():
+    layout = WatermarkLayout()
+    rng = np.random.default_rng(6)
+    wm = assemble(*_parts(layout, rng), layout)
+    host = rng.integers(0, 256, (512, 512)).astype(np.uint8)
+    expected = embed_lsb(host, wm)
+    buffer = np.empty_like(host)
+    assert embed_lsb(host, wm, out=buffer) is buffer
+    assert np.array_equal(buffer, expected)
+    assert embed_lsb(host, wm, out=host) is host       # in place
+    assert np.array_equal(host, expected)
+    # a transposed out would be written through a reshaped copy and lost
+    for bad in (np.empty((256, 1024), np.uint8), np.empty((512, 512), np.int64),
+                np.empty((512, 512), np.uint8).T):
+        with pytest.raises(ValueError, match="out must be"):
+            embed_lsb(expected, wm, out=bad)
+
+
 def test_embed_all_ones_into_zeros():
     layout = WatermarkLayout()
     wm = Watermark(bits=np.ones(layout.total_bits, dtype=np.uint8), layout=layout)

@@ -151,6 +151,8 @@ def test_downsample_strips_match_reference(monkeypatch, grid_dim, bh, bw, strip,
     img = np.random.default_rng(seed).integers(
         0, 256, (grid_dim * bh, grid_dim * bw), dtype=np.uint8)
     assert np.array_equal(downsample(img, grid_dim), _reference_downsample(img, grid_dim))
+    assert np.array_equal(downsample(img, grid_dim, clear_lsb=True),
+                          _reference_downsample(img & 0xFE, grid_dim))
 
 
 @pytest.mark.parametrize("strip", [1, 3 * 4 * 35, 2 * 4 * 35 + 1, 10 ** 9])
@@ -162,6 +164,9 @@ def test_downsample_short_last_strip(monkeypatch, strip):
     assert np.array_equal(downsample(img, 7), _reference_downsample(img, 7))
     assert np.array_equal(downsample(img.T, 7), _reference_downsample(img.T.copy(), 7))
     assert np.array_equal(downsample(img.astype(np.int64), 7), _reference_downsample(img, 7))
+    # the masked strips of a strided view, last one short
+    assert np.array_equal(downsample(img.T, 7, clear_lsb=True),
+                          _reference_downsample(img.T & 0xFE, 7))
 
 
 def test_downsample_row_sums_widen_past_uint32():
@@ -175,6 +180,13 @@ def test_downsample_streams_in_place():
     img = np.random.default_rng(12).integers(0, 256, (2048, 2048), dtype=np.uint8)
     # a strip-sized row buffer and the block sums, not a copy of the host
     assert traced_peak_bytes(lambda: downsample(img, 64)) / img.size < 0.1
+
+
+def test_challenge_grid_streams_in_place():
+    img = np.random.default_rng(12).integers(0, 256, (2048, 2048), dtype=np.uint8)
+    # downsample's strip buffers; clearing the host's LSBs before the call
+    # made a full-size copy, one byte per pixel
+    assert traced_peak_bytes(lambda: challenge_grid(img, 64)) / img.size < 0.1
 
 
 def test_challenge_matrix_band_nibbles():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from contextlib import suppress
 from dataclasses import asdict
 
@@ -108,6 +109,32 @@ def test_acquire_zero_exposure_is_dark():
     chip = new_chip("c", 1)
     dcm = acquire_dcm(chip, AcquisitionConfig(exposure=0.0, n_frames=3, rng_seed=1))
     assert np.all(dcm.counts == 0)
+
+
+def test_acquire_rejects_counts_past_int64():
+    # flat 100 cps chip: 5e18 counts a frame is drawable, but two frames'
+    # int64 sum, 1e19, wrapped negative without a word
+    chip = new_chip("flat", 9, ChipParams(dcr_sigma=0.0))
+    one = acquire_dcm(chip, AcquisitionConfig(exposure=5e16, n_frames=1, rng_seed=1))
+    assert np.all(one.counts > 0)
+    with pytest.raises(ValueError, match="^exposure 5e[+]16 s at temperature 25 C .* 2 frames"):
+        acquire_dcm(chip, AcquisitionConfig(exposure=5e16, n_frames=2, rng_seed=1))
+
+
+def test_huge_jitter_clamps_without_warning():
+    # mean + jitter * smooth overflows to +-inf: -inf is clamped to half the
+    # mean, and an infinite doubling temperature only freezes that pixel
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chip = new_chip("c", 3, ChipParams(doubling_temp_jitter=1e308))
+    assert np.all(chip.doubling_temp >= 4.0)
+
+
+def test_load_chip_names_file_of_undrawable_rates(tmp_path):
+    path = tmp_path / "c.chip.json"
+    path.write_text(json.dumps({"chip_id": "c", "seed": 3, "params": {"dcr_sigma": 400}}))
+    with pytest.raises(ValueError, match="c.chip.json: dcr_median 100 and dcr_sigma 400 give"):
+        load_chip(path)
 
 
 def test_acquire_deterministic():

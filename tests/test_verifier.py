@@ -213,8 +213,8 @@ def test_gaussian_noise_streams_in_strips(records):
     # the uint8 result, plus two strip buffers; a whole-image float64 draw
     # costs 8 bytes per pixel more
     assert traced_peak_bytes(lambda: add_gaussian_noise(img, 18.0, seed=1)) / img.size < 1.5
-    # one seed's noisy images (one byte per pixel and sigma), plus the LSB
-    # clear of the one being downsampled
+    # one seed's noisy images (one byte per pixel and sigma), plus the
+    # strip buffers of the one being downsampled
     peak = traced_peak_bytes(lambda: robustness_sweep(img, records[0], [6, 18, 54],
                                                       [0, 6, 12], [101, 102, 103]))
     assert peak / img.size < 4.5
