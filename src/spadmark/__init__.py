@@ -8,10 +8,9 @@ to catch edits and matches the fingerprint against an enrollment database
 to identify the source.
 """
 
-from .imager import (AcquisitionConfig, ChipModel, ChipParams, DarkCountMap,
-                     acquire_dcm, dcr_map, load_chip, new_chip, save_chip)
-from .puf import (HORIZONTAL, VERTICAL, EnrollmentDB, EnrollmentRecord,
-                  Fingerprint, RelativeDCM, ResponsePair, enroll, fingerprint,
+from .imager import (AcquisitionConfig, ChipModel, ChipParams, acquire_dcm,
+                     dcr_map, load_chip, new_chip, save_chip)
+from .puf import (EnrollmentDB, EnrollmentRecord, Fingerprint, enroll, fingerprint,
                   golden_acquisition, load_enrollment, load_enrollment_db,
                   puf_query, rdcm, save_enrollment)
 from .features import FeatureConfig, challenge_matrix, downsample, feature_images

@@ -181,9 +181,7 @@ def cmd_experiment_source_id(args) -> int:
             layout = wa.layout
             total = hamming_frac(wa.bits, wb.bits)
             c = hamming_frac(wa.bits[layout.challenge_slice], wb.bits[layout.challenge_slice])
-            r = hamming_frac(
-                wa.bits[layout.response_h_slice.start:layout.response_v_slice.stop],
-                wb.bits[layout.response_h_slice.start:layout.response_v_slice.stop])
+            r = hamming_frac(wa.bits[layout.response_slice], wb.bits[layout.response_slice])
             f = hamming_frac(wa.bits[layout.fingerprint_slice], wb.bits[layout.fingerprint_slice])
             if img_a == img_b and chip_a != chip_b:
                 if c != 0:

@@ -2,9 +2,10 @@
 
 The watermark is a fixed-layout bit string: challenge block (the D x D
 ``features.challenge_matrix`` bytes, row-major, band plane 1 = MSB first), then
-the two response planes, then the device fingerprint. At the defaults (grid
-64, map 64) that is 32768 + 8192 + 4096 = 45056 bits, carried in the least
-significant bits of the first 45056 host pixels. LSBs beyond the payload are left untouched.
+the (2, D, D) response array of ``puf.puf_query`` (horizontal plane, then
+vertical), then the device fingerprint. At the defaults (grid 64, map 64)
+that is 32768 + 8192 + 4096 = 45056 bits, carried in the least significant
+bits of the first 45056 host pixels. LSBs beyond the payload are left untouched.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import L, _check_gray
-from .puf import Fingerprint, ResponsePair, bits_to_hex, hex_to_bits
+from .puf import Fingerprint, bits_to_hex, hex_to_bits
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class WatermarkLayout:
 
     @property
     def response_bits(self) -> int:
-        return self.grid_dim * self.grid_dim
+        return self.grid_dim * self.grid_dim        # per plane; there are two
 
     @property
     def fingerprint_bits(self) -> int:
@@ -54,14 +55,8 @@ class WatermarkLayout:
         return slice(0, self.challenge_bits)
 
     @property
-    def response_h_slice(self) -> slice:
-        start = self.challenge_bits
-        return slice(start, start + self.response_bits)
-
-    @property
-    def response_v_slice(self) -> slice:
-        start = self.challenge_bits + self.response_bits
-        return slice(start, start + self.response_bits)
+    def response_slice(self) -> slice:
+        return slice(self.challenge_bits, self.challenge_bits + 2 * self.response_bits)
 
     @property
     def fingerprint_slice(self) -> slice:
@@ -70,45 +65,42 @@ class WatermarkLayout:
 
 @dataclass
 class Watermark:
-    """Serialized watermark bits plus provenance metadata (never embedded)."""
+    """Serialized watermark bits and the layout they follow."""
 
     bits: np.ndarray            # 1-D uint8 {0,1}, length layout.total_bits
     layout: WatermarkLayout = field(default_factory=WatermarkLayout)
-    chip_id: str = ""
 
 
-def assemble(challenge: np.ndarray, response: ResponsePair,
+def assemble(challenge: np.ndarray, response: np.ndarray,
              fp: Fingerprint, layout: WatermarkLayout | None = None) -> Watermark:
-    """Serialize challenge bytes, responses and fingerprint per the fixed layout."""
+    """Serialize the (D, D) challenge bytes, the (2, D, D) responses and the
+    (P, P) fingerprint per the fixed layout."""
     layout = layout or WatermarkLayout()
     d, p = layout.grid_dim, layout.puf_dim
     if np.shape(challenge) != (d, d):
         raise ValueError(f"challenge shape {np.shape(challenge)} does not match grid_dim {d}")
-    if response.r_h.shape != (d, d) or response.r_v.shape != (d, d):
-        raise ValueError("response shape does not match grid_dim")
+    if np.shape(response) != (2, d, d):
+        raise ValueError(f"response shape {np.shape(response)} is not (2, {d}, {d})")
     if fp.bits.shape != (p, p):
         raise ValueError(f"fingerprint shape {fp.bits.shape} does not match puf_dim {p}")
     bits = np.concatenate([
         np.unpackbits(challenge.reshape(-1)),
-        response.r_h.ravel().astype(np.uint8),
-        response.r_v.ravel().astype(np.uint8),
+        response.ravel().astype(np.uint8),
         fp.bits.ravel().astype(np.uint8),
     ])
-    return Watermark(bits=bits, layout=layout, chip_id=fp.chip_id)
+    return Watermark(bits=bits, layout=layout)
 
 
-def disassemble(wm: Watermark) -> tuple[np.ndarray, ResponsePair, Fingerprint]:
-    """Exact inverse of assemble."""
+def disassemble(wm: Watermark) -> tuple[np.ndarray, np.ndarray, Fingerprint]:
+    """Exact inverse of assemble: (challenge, responses, fingerprint)."""
     layout = wm.layout
     bits = np.asarray(wm.bits, dtype=np.uint8)
     if bits.ndim != 1 or bits.size != layout.total_bits:
         raise ValueError(f"watermark holds {bits.size} bits, layout expects {layout.total_bits}")
     d, p = layout.grid_dim, layout.puf_dim
     challenge = np.packbits(bits[layout.challenge_slice]).reshape(d, d)
-    response = ResponsePair(r_h=bits[layout.response_h_slice].reshape(d, d).copy(),
-                            r_v=bits[layout.response_v_slice].reshape(d, d).copy())
-    fp = Fingerprint(bits=bits[layout.fingerprint_slice].reshape(p, p).copy(),
-                     chip_id=wm.chip_id)
+    response = bits[layout.response_slice].reshape(2, d, d).copy()
+    fp = Fingerprint(bits=bits[layout.fingerprint_slice].reshape(p, p).copy())
     return challenge, response, fp
 
 

@@ -4,7 +4,8 @@ Each simulated chip owns a per-pixel dark count rate (DCR) field plus a
 per-pixel temperature coefficient. Both are drawn deterministically from the
 chip seed, so a chip can be persisted as (id, seed, params) alone and
 regenerated bit-exactly. Dark frames are Poisson photon-counting draws from
-the rate field, accumulated over a configurable number of exposures.
+the rate field; ``acquire_dcm`` sums a configurable number of them into one
+int64 count array, the dark count map.
 """
 
 from __future__ import annotations
@@ -99,15 +100,6 @@ class AcquisitionConfig:
             raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
 
 
-@dataclass
-class DarkCountMap:
-    """Accumulated dark counts per pixel for one acquisition."""
-
-    counts: np.ndarray          # integer counts, array_dim x array_dim
-    config: AcquisitionConfig
-    chip_id: str
-
-
 def chip_seed(value) -> int:
     """A chip seed: a non-negative integer; bools and floats are rejected, so
     a record cannot name one chip and regenerate another."""
@@ -171,18 +163,22 @@ def dcr_map(chip: ChipModel, temperature: float) -> np.ndarray:
     return chip.dcr_ref * 2.0 ** exponent
 
 
-def acquire_dcm(chip: ChipModel, cfg: AcquisitionConfig) -> DarkCountMap:
-    """Accumulate ``n_frames`` Poisson dark frames into one count map.
+def acquire_dcm(chip: ChipModel, cfg: AcquisitionConfig) -> np.ndarray:
+    """Accumulate ``n_frames`` Poisson dark frames into one (array_dim,
+    array_dim) int64 count map.
 
     Each frame draws an independent Poisson count per pixel with mean
     rate * exposure; frames are summed. Deterministic given cfg.rng_seed.
-    A pixel expecting more than ``MAX_COUNTS`` over all frames (an
-    infinite or NaN rate included) raises ValueError naming the exposure
-    and temperature before anything is drawn.
+    A zero exposure counts nothing at any temperature. Otherwise a pixel
+    expecting more than ``MAX_COUNTS`` over all frames (an infinite rate
+    included) raises ValueError naming the exposure and temperature
+    before anything is drawn.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_per_frame = dcr_map(chip, cfg.temperature) * cfg.exposure
+        rates = dcr_map(chip, cfg.temperature)
+        # an infinite rate times 0 s would be NaN, not 0
+        mean_per_frame = rates * cfg.exposure if cfg.exposure else np.zeros_like(rates)
         peak = float(mean_per_frame.max()) * cfg.n_frames
     if not peak <= MAX_COUNTS:
         raise ValueError(
@@ -192,7 +188,7 @@ def acquire_dcm(chip: ChipModel, cfg: AcquisitionConfig) -> DarkCountMap:
     counts = np.zeros(mean_per_frame.shape, dtype=np.int64)
     for _ in range(cfg.n_frames):
         counts += rng.poisson(mean_per_frame)
-    return DarkCountMap(counts=counts, config=cfg, chip_id=chip.chip_id)
+    return counts
 
 
 # --- record files -------------------------------------------------------------

@@ -5,14 +5,18 @@ The relative maps mark, per pixel, whether its dark count beats its right
 edge. Because the comparison only uses ordering, any monotone rescaling of
 the counts -- in particular the common exponential growth with temperature --
 leaves the maps unchanged; that is the whole trick behind using them as a
-stable device secret.
+stable device secret. Each map is a plain (P, P) uint8 array of 0/1 bits;
+``rdcm`` returns the pair (horizontal, vertical), and the fingerprint is
+their XOR.
 
 A challenge is a (D, D) uint8 grid of ``features.challenge_matrix`` address
 bytes, or a stack of such grids; ``puf_query`` splits each byte into a map
-row (high nibble) and column (low nibble). An enrollment database holds one
-record per chip_id; ``load_enrollment_db`` rejects a duplicate. It keeps
-every record's maps packed, as stored, and its fingerprints as one matrix;
-a record's maps are unpacked only when the record itself is asked for.
+row (high nibble) and column (low nibble) and returns both response planes
+as one array, plane 0 horizontal and plane 1 vertical. An enrollment
+database holds one record per chip_id; ``load_enrollment_db`` rejects a
+duplicate. It keeps every record's maps packed, as stored, and its
+fingerprints as one matrix; a record's maps are unpacked only when the
+record itself is asked for.
 """
 
 from __future__ import annotations
@@ -25,19 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imager import AcquisitionConfig, ChipModel, DarkCountMap, acquire_dcm, json_record
-
-HORIZONTAL = "horizontal"
-VERTICAL = "vertical"
-
-
-@dataclass
-class RelativeDCM:
-    """Binary neighbor-comparison map for one direction."""
-
-    bits: np.ndarray            # uint8 {0,1}, array_dim x array_dim
-    direction: str              # HORIZONTAL or VERTICAL
-    chip_id: str
+from .imager import AcquisitionConfig, ChipModel, acquire_dcm, json_record
 
 
 @dataclass
@@ -48,8 +40,7 @@ class Fingerprint:
     device without exposing the maps that answer challenges.
     """
 
-    bits: np.ndarray            # uint8 {0,1}
-    chip_id: str
+    bits: np.ndarray            # uint8 {0,1}, array_dim x array_dim
 
 
 @dataclass
@@ -57,15 +48,15 @@ class EnrollmentRecord:
     """Golden PUF data stored with the verifier for one chip."""
 
     chip_id: str
-    rdcm_h: RelativeDCM
-    rdcm_v: RelativeDCM
+    rdcm_h: np.ndarray          # uint8 {0,1}, array_dim x array_dim
+    rdcm_v: np.ndarray
     fingerprint: Fingerprint
     enrollment_cfg: AcquisitionConfig
 
     def pack(self) -> PackedRecord:
-        return PackedRecord(chip_id=self.chip_id, dim=self.rdcm_h.bits.shape[0],
-                            rdcm_h=pack_bits(self.rdcm_h.bits),
-                            rdcm_v=pack_bits(self.rdcm_v.bits),
+        return PackedRecord(chip_id=self.chip_id, dim=self.rdcm_h.shape[0],
+                            rdcm_h=pack_bits(self.rdcm_h),
+                            rdcm_v=pack_bits(self.rdcm_v),
                             fingerprint=pack_bits(self.fingerprint.bits),
                             enrollment_cfg=self.enrollment_cfg)
 
@@ -86,51 +77,33 @@ class PackedRecord:
         def bits(packed: bytes) -> np.ndarray:
             raw = np.frombuffer(packed, dtype=np.uint8)
             return np.unpackbits(raw, count=self.dim * self.dim).reshape(self.dim, self.dim)
-        return EnrollmentRecord(
-            chip_id=self.chip_id,
-            rdcm_h=RelativeDCM(bits=bits(self.rdcm_h), direction=HORIZONTAL, chip_id=self.chip_id),
-            rdcm_v=RelativeDCM(bits=bits(self.rdcm_v), direction=VERTICAL, chip_id=self.chip_id),
-            fingerprint=Fingerprint(bits=bits(self.fingerprint), chip_id=self.chip_id),
-            enrollment_cfg=self.enrollment_cfg)
+        return EnrollmentRecord(chip_id=self.chip_id,
+                                rdcm_h=bits(self.rdcm_h), rdcm_v=bits(self.rdcm_v),
+                                fingerprint=Fingerprint(bits=bits(self.fingerprint)),
+                                enrollment_cfg=self.enrollment_cfg)
 
 
-@dataclass
-class ResponsePair:
-    """Per-challenge-cell lookups into both relative maps."""
-
-    r_h: np.ndarray             # uint8 {0,1}, the challenge's shape: (D, D) or a stack
-    r_v: np.ndarray
-
-
-def rdcm(dcm: DarkCountMap, direction: str) -> RelativeDCM:
-    """Compare each pixel against its next neighbor in the given direction.
+def rdcm(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The horizontal and vertical relative maps of a square count map.
 
     Horizontal: bit(r,c) = counts(r,c) > counts(r, (c+1) mod P).
     Vertical:   bit(r,c) = counts(r,c) > counts((r+1) mod P, c).
-    Ties score 0. Circular wrap keeps the map the full P x P.
+    Ties score 0. Circular wrap keeps each map the full P x P.
     """
-    counts = np.asarray(dcm.counts)
+    counts = np.asarray(counts)
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
         raise ValueError(f"dark count map must be square, got shape {counts.shape}")
     if counts.shape[0] < 2:
         raise ValueError("dark count map side must be >= 2")
-    if direction == HORIZONTAL:
-        neighbor = np.roll(counts, -1, axis=1)
-    elif direction == VERTICAL:
-        neighbor = np.roll(counts, -1, axis=0)
-    else:
-        raise ValueError(f"direction must be {HORIZONTAL!r} or {VERTICAL!r}, got {direction!r}")
-    return RelativeDCM(bits=(counts > neighbor).astype(np.uint8),
-                       direction=direction, chip_id=dcm.chip_id)
+    return ((counts > np.roll(counts, -1, axis=1)).astype(np.uint8),
+            (counts > np.roll(counts, -1, axis=0)).astype(np.uint8))
 
 
-def fingerprint(h: RelativeDCM, v: RelativeDCM) -> Fingerprint:
+def fingerprint(h: np.ndarray, v: np.ndarray) -> Fingerprint:
     """Elementwise XOR of the two relative maps."""
-    if h.chip_id != v.chip_id:
-        raise ValueError(f"chip_id mismatch: {h.chip_id!r} vs {v.chip_id!r}")
-    if h.bits.shape != v.bits.shape:
-        raise ValueError(f"shape mismatch: {h.bits.shape} vs {v.bits.shape}")
-    return Fingerprint(bits=np.bitwise_xor(h.bits, v.bits), chip_id=h.chip_id)
+    if h.shape != v.shape:
+        raise ValueError(f"shape mismatch: {h.shape} vs {v.shape}")
+    return Fingerprint(bits=np.bitwise_xor(h, v))
 
 
 def golden_acquisition(chip: ChipModel, rng_seed: int = 0) -> AcquisitionConfig:
@@ -143,20 +116,20 @@ def golden_acquisition(chip: ChipModel, rng_seed: int = 0) -> AcquisitionConfig:
 def enroll(chip: ChipModel, cfg: AcquisitionConfig | None = None) -> EnrollmentRecord:
     """Acquire a multi-frame dark map and derive the golden PUF record."""
     cfg = cfg or golden_acquisition(chip)
-    dcm = acquire_dcm(chip, cfg)
-    h = rdcm(dcm, HORIZONTAL)
-    v = rdcm(dcm, VERTICAL)
+    h, v = rdcm(acquire_dcm(chip, cfg))
     return EnrollmentRecord(chip_id=chip.chip_id, rdcm_h=h, rdcm_v=v,
                             fingerprint=fingerprint(h, v), enrollment_cfg=cfg)
 
 
 def puf_query(record: EnrollmentRecord, challenge: np.ndarray,
-              response_map: str = "both") -> ResponsePair:
+              response_map: str = "both") -> np.ndarray:
     """Read both relative maps at the challenge's address bytes.
 
     ``challenge`` holds ``features.challenge_matrix`` bytes, a (D, D) grid or a
     stack: high nibble = map row, low nibble = column. Other dtypes are rejected,
-    not wrapped, as is any address at or past the array edge.
+    not wrapped, as is any address at or past the array edge. The result is
+    one uint8 {0,1} array of shape (2, *challenge.shape): plane 0 is read
+    from the horizontal map, plane 1 from the vertical one.
     ``response_map`` selects which map feeds the two response planes:
     "both" (default) uses horizontal and vertical, "h"/"v" duplicate a
     single map into both planes so the serialized layout stays fixed.
@@ -165,7 +138,7 @@ def puf_query(record: EnrollmentRecord, challenge: np.ndarray,
     if challenge.dtype != np.uint8:
         raise ValueError(f"challenge must be uint8 address bytes, got dtype {challenge.dtype}")
     rows, cols = challenge >> 4, challenge & 0x0F
-    dim = record.rdcm_h.bits.shape[0]
+    dim = record.rdcm_h.shape[0]
     if rows.max() >= dim or cols.max() >= dim:
         raise ValueError(
             f"challenge address outside the {dim}x{dim} map window "
@@ -177,14 +150,13 @@ def puf_query(record: EnrollmentRecord, challenge: np.ndarray,
     }
     if response_map not in lookup:
         raise ValueError(f"response_map must be 'h', 'v' or 'both', got {response_map!r}")
-    first, second = lookup[response_map]
-    return ResponsePair(r_h=first.bits[rows, cols].astype(np.uint8),
-                        r_v=second.bits[rows, cols].astype(np.uint8))
+    return np.array(lookup[response_map], dtype=np.uint8)[:, rows, cols]
 
 
 # --- bit packing ------------------------------------------------------------
-# Row-major bits, MSB-first within each hex digit. Lengths that are not a
-# multiple of 4 are zero-padded on the right and trimmed on parse.
+# Row-major bits, MSB first within each byte. A length that is not a
+# multiple of 8 is zero-padded to whole bytes (a 9-bit map is 2 bytes with
+# 7 padding bits), and the padding is trimmed on parse.
 
 def pack_bits(bits: np.ndarray) -> bytes:
     return np.packbits(np.asarray(bits, dtype=np.uint8).ravel()).tobytes()

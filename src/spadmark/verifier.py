@@ -172,9 +172,7 @@ def verify(img: np.ndarray, db: EnrollmentDB,
 
     record = db.record(best[0])
     expected = puf_query(record, c_img, response_map=response_map)
-    response_match = 1.0 - hamming_frac(
-        np.concatenate([r_emb.r_h.ravel(), r_emb.r_v.ravel()]),
-        np.concatenate([expected.r_h.ravel(), expected.r_v.ravel()]))
+    response_match = 1.0 - hamming_frac(r_emb, expected)
 
     if (challenge_match < 1.0 - thresholds.tau_challenge
             or response_match < 1.0 - thresholds.tau_response):
@@ -296,8 +294,7 @@ def tolerant_flip_frac(clean: np.ndarray, noisy: list[np.ndarray],
     grids = np.stack([clean, *noisy])
     single = challenge_matrix(grids, FeatureConfig())
     resp = puf_query(record, single)
-    charges = (np.bitwise_count(single[0] ^ single[1:])
-               + (resp.r_h[0] != resp.r_h[1:]) + (resp.r_v[0] != resp.r_v[1:]))
+    charges = np.bitwise_count(single[0] ^ single[1:]) + (resp[:, :1] != resp[:, 1:]).sum(0)
     total = layout.challenge_bits + 2 * layout.response_bits
     flips = np.empty((len(cfgs), len(noisy)))
     for i, cfg in enumerate(cfgs):
@@ -356,13 +353,11 @@ def watermark_bitmap(wm: Watermark) -> np.ndarray:
     layout = wm.layout
     d, p = layout.grid_dim, layout.puf_dim
     c_img = wm.bits[layout.challenge_slice].reshape(d, d * 8)
-    r_h = wm.bits[layout.response_h_slice].reshape(d, d)
-    r_v = wm.bits[layout.response_v_slice].reshape(d, d)
+    responses = wm.bits[layout.response_slice].reshape(2, d, d)
     fp = wm.bits[layout.fingerprint_slice].reshape(p, p)
     bottom_h = max(d, p)
     bottom = np.zeros((bottom_h, 2 * d + p), dtype=np.uint8)
-    bottom[:d, :d] = r_h
-    bottom[:d, d:2 * d] = r_v
+    bottom[:d, :2 * d] = np.hstack(responses)
     bottom[:p, 2 * d:] = fp
     width = max(c_img.shape[1], bottom.shape[1])
     canvas = np.zeros((d + bottom_h, width), dtype=np.uint8)

@@ -1,11 +1,23 @@
 import json
 import tracemalloc
+import warnings
+from contextlib import suppress
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from spadmark import EnrollmentDB, enroll, golden_acquisition, new_chip
+
+# Hypothesis reports a failing @given test through hypothesis.extra._patching,
+# which imports libcst, which raises a DeprecationWarning for
+# mypy_extensions.TypedDict. With warnings as errors, that import inside
+# the report hook is an INTERNALERROR that ends the whole session. Import it
+# once here, ignoring DeprecationWarning for this import only; without
+# libcst the report hook skips it anyway.
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 # Hypothesis settings of the property tests. Parser fuzzing: each file
 # parser must return or raise ValueError, for any bytes. Numbers stay small:

@@ -325,6 +325,27 @@ def test_chip_enroll_rejects_undrawable_mean(tmp_path, capsys, flag, value, name
     assert not (db / "chip1.enroll.json").exists()
 
 
+def test_chip_enroll_zero_exposure_at_extreme_temperature(tmp_path, capsys):
+    # an infinite rate times 0 s was NaN, and this exited 1 with "gives up
+    # to nan dark counts"; a zero exposure draws nothing at any temperature
+    db = tmp_path / "db"
+    assert main(["--db-dir", str(db), "chip", "new", "c", "--seed", "3"]) == 0
+    maps = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for temperature in ("25", "1e6"):
+            assert main(["--db-dir", str(db), "chip", "enroll", "c",
+                         "--temperature", temperature, "--exposure", "0"]) == 0
+            record = json.loads((db / "c.enroll.json").read_text())
+            maps[temperature] = [record[key] for key in ("rdcm_h", "rdcm_v", "fingerprint")]
+        assert capsys.readouterr().err == ""
+        assert maps["1e6"] == maps["25"] == ["0" * (64 * 64 // 4)] * 3
+        assert main(["--db-dir", str(db), "chip", "enroll", "c",
+                     "--temperature", "1e6", "--exposure", "0.1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "temperature 1e+06 C" in err[0] and "above the" in err[0]
+
+
 @pytest.mark.parametrize("flag,value,named", [
     ("--dcr-sigma", "400", "dcr_sigma 400"),
     ("--dcr-median", "1e300", "dcr_median 1e+300"),

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from spadmark import (PgmError, Watermark, WatermarkLayout,
                       assemble, disassemble, embed_lsb, extract_lsb,
                       load_watermark, psnr, read_pgm, save_watermark, write_pgm)
-from spadmark.puf import Fingerprint, ResponsePair
+from spadmark.puf import Fingerprint
 from conftest import FUZZ, traced_peak_bytes
 
 
@@ -17,14 +17,12 @@ def _parts(layout: WatermarkLayout, rng=None):
     d, p = layout.grid_dim, layout.puf_dim
     if rng is None:
         challenge = np.zeros((d, d), dtype=np.uint8)
-        response = ResponsePair(r_h=np.zeros((d, d), dtype=np.uint8),
-                                r_v=np.zeros((d, d), dtype=np.uint8))
-        fp = Fingerprint(bits=np.zeros((p, p), dtype=np.uint8), chip_id="z")
+        response = np.zeros((2, d, d), dtype=np.uint8)
+        fp = Fingerprint(bits=np.zeros((p, p), dtype=np.uint8))
     else:
         challenge = rng.integers(0, 256, (d, d)).astype(np.uint8)
-        response = ResponsePair(r_h=rng.integers(0, 2, (d, d)).astype(np.uint8),
-                                r_v=rng.integers(0, 2, (d, d)).astype(np.uint8))
-        fp = Fingerprint(bits=rng.integers(0, 2, (p, p)).astype(np.uint8), chip_id="r")
+        response = rng.integers(0, 2, (2, d, d)).astype(np.uint8)
+        fp = Fingerprint(bits=rng.integers(0, 2, (p, p)).astype(np.uint8))
     return challenge, response, fp
 
 
@@ -41,8 +39,7 @@ def test_layout_totals():
 def test_layout_slices_partition():
     layout = WatermarkLayout(grid_dim=8, puf_dim=16)
     marks = np.zeros(layout.total_bits, dtype=int)
-    for s in (layout.challenge_slice, layout.response_h_slice,
-              layout.response_v_slice, layout.fingerprint_slice):
+    for s in (layout.challenge_slice, layout.response_slice, layout.fingerprint_slice):
         marks[s] += 1
     assert np.all(marks == 1)
 
@@ -78,7 +75,7 @@ def test_assemble_dimension_errors():
     for wrong in (np.zeros((8, 8), dtype=np.uint8), np.zeros((64, 64, 2), dtype=np.uint8)):
         with pytest.raises(ValueError):
             assemble(wrong, response, fp, layout)
-    small_fp = Fingerprint(bits=np.zeros((8, 8), dtype=np.uint8), chip_id="z")
+    small_fp = Fingerprint(bits=np.zeros((8, 8), dtype=np.uint8))
     with pytest.raises(ValueError):
         assemble(challenge, response, small_fp, layout)
 
@@ -89,8 +86,7 @@ def test_disassemble_round_trip():
     challenge, response, fp = _parts(layout, rng)
     c2, r2, f2 = disassemble(assemble(challenge, response, fp, layout))
     assert np.array_equal(c2, challenge) and c2.dtype == np.uint8
-    assert np.array_equal(r2.r_h, response.r_h)
-    assert np.array_equal(r2.r_v, response.r_v)
+    assert np.array_equal(r2, response) and r2.shape == (2, 16, 16)
     assert np.array_equal(f2.bits, fp.bits)
 
 
@@ -98,7 +94,7 @@ def test_disassemble_zero_and_length_error():
     layout = WatermarkLayout(grid_dim=4, puf_dim=4)
     c, r, f = disassemble(Watermark(bits=np.zeros(layout.total_bits, dtype=np.uint8),
                                     layout=layout))
-    assert not c.any() and not r.r_h.any() and not f.bits.any()
+    assert not c.any() and not r.any() and not f.bits.any()
     with pytest.raises(ValueError):
         disassemble(Watermark(bits=np.zeros(10, dtype=np.uint8), layout=layout))
 

@@ -10,86 +10,72 @@ from spadmark import (AcquisitionConfig, ChipParams,
                       acquire_dcm, enroll, fingerprint, golden_acquisition,
                       hamming_frac, load_enrollment, load_enrollment_db,
                       new_chip, puf_query, rdcm, save_enrollment)
-from spadmark.imager import DarkCountMap
-from spadmark.puf import (HORIZONTAL, VERTICAL, EnrollmentRecord, Fingerprint,
-                          RelativeDCM, bits_to_hex, hex_to_bits)
+from spadmark.puf import EnrollmentRecord, bits_to_hex, hex_to_bits
 from conftest import FUZZ, fuzzed_json
 
 
-def _dcm(counts, chip_id="t"):
-    cfg = AcquisitionConfig(exposure=0.1, n_frames=1, rng_seed=0)
-    return DarkCountMap(counts=np.asarray(counts), config=cfg, chip_id=chip_id)
-
-
 def _record(h_bits, v_bits, chip_id="t"):
-    h = RelativeDCM(bits=np.asarray(h_bits, dtype=np.uint8), direction=HORIZONTAL, chip_id=chip_id)
-    v = RelativeDCM(bits=np.asarray(v_bits, dtype=np.uint8), direction=VERTICAL, chip_id=chip_id)
+    h = np.asarray(h_bits, dtype=np.uint8)
+    v = np.asarray(v_bits, dtype=np.uint8)
     return EnrollmentRecord(chip_id=chip_id, rdcm_h=h, rdcm_v=v,
                             fingerprint=fingerprint(h, v),
                             enrollment_cfg=AcquisitionConfig(rng_seed=0))
 
 
 def test_rdcm_hand_examples():
-    dcm = _dcm([[5, 3], [2, 2]])
-    assert np.array_equal(rdcm(dcm, HORIZONTAL).bits, [[1, 0], [0, 0]])
-    assert np.array_equal(rdcm(dcm, VERTICAL).bits, [[1, 1], [0, 0]])
+    h, v = rdcm(np.array([[5, 3], [2, 2]]))
+    assert np.array_equal(h, [[1, 0], [0, 0]])
+    assert np.array_equal(v, [[1, 1], [0, 0]])
+    assert h.dtype == v.dtype == np.uint8
 
 
 def test_rdcm_constant_counts_all_zero():
-    dcm = _dcm(np.full((8, 8), 7))
-    assert not rdcm(dcm, HORIZONTAL).bits.any()
-    assert not rdcm(dcm, VERTICAL).bits.any()
+    h, v = rdcm(np.full((8, 8), 7))
+    assert not h.any()
+    assert not v.any()
 
 
 def test_rdcm_input_validation():
     with pytest.raises(ValueError):
-        rdcm(_dcm(np.zeros((4, 5), dtype=int)), HORIZONTAL)
+        rdcm(np.zeros((4, 5), dtype=int))
     with pytest.raises(ValueError):
-        rdcm(_dcm([[1]]), HORIZONTAL)
-    with pytest.raises(ValueError):
-        rdcm(_dcm([[1, 2], [3, 4]]), "diagonal")
+        rdcm([[1]])
 
 
 def test_rdcm_monotone_transform_invariance():
     rng = np.random.default_rng(4)
     counts = rng.integers(0, 5000, (32, 32))
-    base_h = rdcm(_dcm(counts), HORIZONTAL).bits
-    base_v = rdcm(_dcm(counts), VERTICAL).bits
+    base_h, base_v = rdcm(counts)
     for transform in (lambda x: x ** 2, lambda x: 3 * x + 7):
-        assert np.array_equal(rdcm(_dcm(transform(counts)), HORIZONTAL).bits, base_h)
-        assert np.array_equal(rdcm(_dcm(transform(counts)), VERTICAL).bits, base_v)
+        h, v = rdcm(transform(counts))
+        assert np.array_equal(h, base_h)
+        assert np.array_equal(v, base_v)
 
 
 def test_fingerprint_xor_and_errors():
-    dcm = _dcm([[5, 3], [2, 2]])
-    h, v = rdcm(dcm, HORIZONTAL), rdcm(dcm, VERTICAL)
+    h, v = rdcm(np.array([[5, 3], [2, 2]]))
     fp = fingerprint(h, v)
     assert np.array_equal(fp.bits, [[0, 1], [0, 0]])
     assert not fingerprint(h, h).bits.any()                      # x ^ x = 0
-    zero = RelativeDCM(bits=np.zeros((2, 2), dtype=np.uint8), direction=VERTICAL, chip_id="t")
-    assert np.array_equal(fingerprint(h, zero).bits, h.bits)     # identity element
-    other = RelativeDCM(bits=v.bits, direction=VERTICAL, chip_id="other")
-    with pytest.raises(ValueError):
-        fingerprint(h, other)
-    small = RelativeDCM(bits=np.zeros((3, 3), dtype=np.uint8), direction=VERTICAL, chip_id="t")
+    zero = np.zeros((2, 2), dtype=np.uint8)
+    assert np.array_equal(fingerprint(h, zero).bits, h)          # identity element
+    small = np.zeros((3, 3), dtype=np.uint8)
     with pytest.raises(ValueError):
         fingerprint(h, small)
 
 
 def test_fingerprint_involution():
     rng = np.random.default_rng(9)
-    h = RelativeDCM(bits=rng.integers(0, 2, (16, 16), dtype=np.uint8),
-                    direction=HORIZONTAL, chip_id="t")
-    v = RelativeDCM(bits=rng.integers(0, 2, (16, 16), dtype=np.uint8),
-                    direction=VERTICAL, chip_id="t")
-    assert np.array_equal(np.bitwise_xor(fingerprint(h, v).bits, v.bits), h.bits)
+    h = rng.integers(0, 2, (16, 16), dtype=np.uint8)
+    v = rng.integers(0, 2, (16, 16), dtype=np.uint8)
+    assert np.array_equal(np.bitwise_xor(fingerprint(h, v).bits, v), h)
 
 
 def test_enroll_zero_exposure_all_zero():
     chip = new_chip("c", 1)
     record = enroll(chip, AcquisitionConfig(exposure=0.0, n_frames=1, rng_seed=0))
-    assert not record.rdcm_h.bits.any()
-    assert not record.rdcm_v.bits.any()
+    assert not record.rdcm_h.any()
+    assert not record.rdcm_v.any()
     assert not record.fingerprint.bits.any()
 
 
@@ -98,7 +84,7 @@ def test_enroll_repeatability(chips):
         r1 = enroll(chip, golden_acquisition(chip, rng_seed=100 + i))
         r2 = enroll(chip, golden_acquisition(chip, rng_seed=900 + i))
         assert hamming_frac(r1.fingerprint.bits, r2.fingerprint.bits) <= 0.02
-        assert hamming_frac(r1.rdcm_h.bits, r2.rdcm_h.bits) <= 0.02
+        assert hamming_frac(r1.rdcm_h, r2.rdcm_h) <= 0.02
 
 
 def test_enroll_uniqueness(records):
@@ -111,9 +97,9 @@ def test_enroll_uniqueness(records):
 def test_rdcm_uniqueness_across_seeds():
     a = new_chip("a", 1)
     b = new_chip("b", 2)
-    ha = rdcm(acquire_dcm(a, golden_acquisition(a, rng_seed=5)), HORIZONTAL)
-    hb = rdcm(acquire_dcm(b, golden_acquisition(b, rng_seed=6)), HORIZONTAL)
-    assert 0.45 <= hamming_frac(ha.bits, hb.bits) <= 0.55
+    ha, _ = rdcm(acquire_dcm(a, golden_acquisition(a, rng_seed=5)))
+    hb, _ = rdcm(acquire_dcm(b, golden_acquisition(b, rng_seed=6)))
+    assert 0.45 <= hamming_frac(ha, hb) <= 0.55
 
 
 def test_temperature_stability():
@@ -126,9 +112,8 @@ def test_temperature_stability():
         exposure = 0.1 * 2.0 ** max(0.0, (25.0 - t) / 8.0)
         cfg = AcquisitionConfig(temperature=t, exposure=exposure, n_frames=100,
                                 rng_seed=7001)
-        dcm = acquire_dcm(chip, cfg)
-        flips = 0.5 * (hamming_frac(record.rdcm_h.bits, rdcm(dcm, HORIZONTAL).bits)
-                       + hamming_frac(record.rdcm_v.bits, rdcm(dcm, VERTICAL).bits))
+        h, v = rdcm(acquire_dcm(chip, cfg))
+        flips = 0.5 * (hamming_frac(record.rdcm_h, h) + hamming_frac(record.rdcm_v, v))
         assert flips <= 0.02, f"T={t}: {flips:.4f}"
 
 
@@ -136,8 +121,9 @@ def test_puf_query_constant_challenge():
     rec = _record([[1, 0], [0, 0]], [[1, 1], [0, 0]])
     challenge = np.zeros((3, 3), dtype=np.uint8)
     response = puf_query(rec, challenge)
-    assert np.all(response.r_h == rec.rdcm_h.bits[0, 0])
-    assert np.all(response.r_v == rec.rdcm_v.bits[0, 0])
+    assert response.shape == (2, 3, 3) and response.dtype == np.uint8
+    assert np.all(response[0] == rec.rdcm_h[0, 0])
+    assert np.all(response[1] == rec.rdcm_v[0, 0])
 
 
 def test_puf_query_all_zero_record():
@@ -145,15 +131,14 @@ def test_puf_query_all_zero_record():
     rng = np.random.default_rng(2)
     challenge = (16 * rng.integers(0, 4, (5, 5)) + rng.integers(0, 4, (5, 5))).astype(np.uint8)
     response = puf_query(rec, challenge)
-    assert not response.r_h.any() and not response.r_v.any()
+    assert not response.any()
 
 
 def test_puf_query_identity_lookup():
     rec = _record([[1, 0], [0, 0]], [[1, 1], [0, 0]])
     challenge = np.array([[0x00, 0x01], [0x10, 0x11]], dtype=np.uint8)
     response = puf_query(rec, challenge)
-    assert np.array_equal(response.r_h, [[1, 0], [0, 0]])
-    assert np.array_equal(response.r_v, [[1, 1], [0, 0]])
+    assert np.array_equal(response, [[[1, 0], [0, 0]], [[1, 1], [0, 0]]])
 
 
 def test_puf_query_window_error():
@@ -173,12 +158,39 @@ def test_puf_query_response_map_variants():
     rec = _record([[1, 0], [0, 0]], [[1, 1], [0, 0]])
     challenge = np.array([[0x00, 0x01], [0x10, 0x11]], dtype=np.uint8)
     h_only = puf_query(rec, challenge, response_map="h")
-    assert np.array_equal(h_only.r_h, h_only.r_v)
-    assert np.array_equal(h_only.r_h, rec.rdcm_h.bits)
+    assert np.array_equal(h_only[0], h_only[1])
+    assert np.array_equal(h_only[0], rec.rdcm_h)
     v_only = puf_query(rec, challenge, response_map="v")
-    assert np.array_equal(v_only.r_h, rec.rdcm_v.bits)
+    assert np.array_equal(v_only[0], rec.rdcm_v)
     with pytest.raises(ValueError):
         puf_query(rec, challenge, response_map="hv")
+
+
+@pytest.mark.parametrize("response_map", ["h", "v", "both"])
+def test_puf_query_stack_equals_per_grid_queries(response_map):
+    rng = np.random.default_rng(12)
+    rec = _record(rng.integers(0, 2, (16, 16)), rng.integers(0, 2, (16, 16)))
+    stack = rng.integers(0, 256, (5, 8, 8), dtype=np.uint8)
+    response = puf_query(rec, stack, response_map=response_map)
+    assert response.shape == (2, 5, 8, 8) and response.dtype == np.uint8
+    for i, grid in enumerate(stack):
+        assert np.array_equal(response[:, i], puf_query(rec, grid, response_map=response_map))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 64])
+def test_pack_unpack_round_trip(dim):
+    # 2^2 = 4, 3^2 = 9 and 5^2 = 25 bits leave padding in the last byte
+    rng = np.random.default_rng(dim)
+    h = rng.integers(0, 2, (dim, dim), dtype=np.uint8)
+    v = rng.integers(0, 2, (dim, dim), dtype=np.uint8)
+    record = EnrollmentRecord(chip_id="c", rdcm_h=h, rdcm_v=v, fingerprint=fingerprint(h, v),
+                              enrollment_cfg=AcquisitionConfig(rng_seed=3))
+    packed = record.pack()
+    assert len(packed.rdcm_h) == len(packed.rdcm_v) == len(packed.fingerprint) == -(-dim * dim // 8)
+    back = packed.unpack()
+    assert back.chip_id == "c" and back.enrollment_cfg == record.enrollment_cfg
+    for got, want in ((back.rdcm_h, h), (back.rdcm_v, v), (back.fingerprint.bits, h ^ v)):
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
 def test_hex_round_trip():
@@ -196,8 +208,8 @@ def test_enrollment_round_trip(tmp_path, chips):
     assert path.name == "chip1.enroll.json"
     loaded = load_enrollment(path)
     assert loaded.chip_id == record.chip_id
-    assert np.array_equal(loaded.rdcm_h.bits, record.rdcm_h.bits)
-    assert np.array_equal(loaded.rdcm_v.bits, record.rdcm_v.bits)
+    assert np.array_equal(loaded.rdcm_h, record.rdcm_h)
+    assert np.array_equal(loaded.rdcm_v, record.rdcm_v)
     assert np.array_equal(loaded.fingerprint.bits, record.fingerprint.bits)
     assert loaded.enrollment_cfg == record.enrollment_cfg
 
