@@ -161,11 +161,12 @@ def cmd_experiment_source_id(args) -> int:
         raise CliError("source-id experiment needs >= 3 images")
     out_dir = Path(args.out_dir)
 
+    records = list(db)      # each parsed from its file once, not once per image
     marks = {}
     for image_path in args.images:
         img = read_pgm(image_path)
         stem = Path(image_path).stem
-        for record in db:
+        for record in records:
             layout = WatermarkLayout(grid_dim=args.grid_dim,
                                      puf_dim=record.fingerprint.bits.shape[0])
             wm = generate_watermark(img, record, features, layout)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from numbers import Integral, Real
 from pathlib import Path
@@ -193,12 +194,14 @@ def acquire_dcm(chip: ChipModel, cfg: AcquisitionConfig) -> np.ndarray:
 
 # --- record files -------------------------------------------------------------
 
-def json_record(path: str | Path):
-    """Parse a JSON object record; return ``field(key, parse)``, which gives
+def json_record(path: str | Path, data: bytes | None = None):
+    """Parse a JSON object record, the file's bytes ``data`` if the caller
+    already read them; return ``field(key, parse)``, which gives
     ``parse(payload[key])``. Bad UTF-8 or JSON, a non-object, a missing key or
     a value ``parse`` rejects raises ValueError naming the file (and field)."""
-    with open(path, "rb") as f:
-        data = f.read()
+    if data is None:
+        with open(path, "rb") as f:
+            data = f.read()
     try:
         payload = json.loads(data)
     except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
@@ -217,6 +220,32 @@ def json_record(path: str | Path):
     return field
 
 
+def write_atomic(path: str | Path, *chunks) -> None:
+    """Replace ``path`` with the bytes-like ``chunks``, one after the other,
+    through a temporary file in the same directory and ``os.replace``: a
+    reader, or a writer killed midway, sees the old file or the new one,
+    never a part. On failure the temporary file is removed and the error
+    raised."""
+    path = Path(path)
+    tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_json_record(path: Path, payload: dict) -> Path:
+    """Write a record as indented JSON with sorted keys, atomically."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    return path
+
+
 # --- chip persistence -------------------------------------------------------
 # Only (chip_id, seed, params) hit disk; the matrices are regenerated.
 
@@ -225,11 +254,9 @@ def chip_path(db_dir: str | Path, chip_id: str) -> Path:
 
 
 def save_chip(chip: ChipModel, db_dir: str | Path) -> Path:
-    path = chip_path(db_dir, chip.chip_id)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    record = {"chip_id": chip.chip_id, "seed": chip.seed, "params": asdict(chip.params)}
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return path
+    return save_json_record(chip_path(db_dir, chip.chip_id),
+                            {"chip_id": chip.chip_id, "seed": chip.seed,
+                             "params": asdict(chip.params)})
 
 
 def load_chip(path: str | Path) -> ChipModel:

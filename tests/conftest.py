@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from spadmark import EnrollmentDB, enroll, golden_acquisition, new_chip
+from spadmark import enroll, golden_acquisition, load_enrollment_db, new_chip, save_enrollment
 
 # Hypothesis reports a failing @given test through hypothesis.extra._patching,
 # which imports libcst, which raises a DeprecationWarning for
@@ -97,10 +97,16 @@ def records(chips):
             for i, chip in enumerate(chips)]
 
 
+def saved_db(records, db_dir):
+    """``records`` saved into ``db_dir`` and loaded back as a database."""
+    for record in records:
+        save_enrollment(record, db_dir)
+    return load_enrollment_db(db_dir)
+
+
 @pytest.fixture(scope="session")
-def enrolled_db(records):
-    """``records`` as the database ``load_enrollment_db`` would return."""
-    return EnrollmentDB(record.pack() for record in records)
+def enrolled_db(records, tmp_path_factory):
+    return saved_db(records, tmp_path_factory.mktemp("enrolled"))
 
 
 @pytest.fixture(scope="session")

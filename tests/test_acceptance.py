@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from spadmark import (AcquisitionConfig, EnrollmentDB, FeatureConfig, WatermarkLayout,
+from spadmark import (AcquisitionConfig, FeatureConfig, WatermarkLayout,
                       acquire_dcm, assemble, disassemble, embed_lsb,
                       enroll, extract_lsb, generate_watermark,
                       golden_acquisition, hamming_frac, new_chip, psnr,
@@ -20,7 +20,7 @@ from spadmark import (AcquisitionConfig, EnrollmentDB, FeatureConfig, WatermarkL
 from spadmark.codec import Watermark
 from spadmark.cli import main
 from spadmark.verifier import AUTHENTIC, TAMPERED
-from conftest import make_image
+from conftest import make_image, saved_db
 
 
 def _report(number: int, label: str, failures: list[str]) -> None:
@@ -50,7 +50,7 @@ def test_criterion_1_quantizer_oracle_equivalence():
 
 def test_criterion_2_end_to_end_authenticity(tmp_path, records, host_images):
     failures = []
-    db = EnrollmentDB(record.pack() for record in records[:3])
+    db = saved_db(records[:3], tmp_path / "db")
     for i, img in enumerate(host_images):
         path = tmp_path / f"host{i}.pgm"
         write_pgm(img, path)

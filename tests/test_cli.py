@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -14,6 +15,7 @@ import spadmark
 from spadmark import (FeatureConfig, embed_lsb, generate_watermark, load_enrollment,
                       load_watermark, psnr, read_pgm, write_pgm)
 from spadmark.cli import build_parser, main
+from spadmark.puf import INDEX_NAME
 from conftest import make_image, traced_peak_bytes
 
 
@@ -242,6 +244,95 @@ def test_verify_rejects_duplicate_chip_id(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert str(db / "chip1.enroll.json") in err[0] and str(second) in err[0]
+
+
+def _marked(tmp_path):
+    """A database of three chips and an image marked with chip1."""
+    db = _setup_db(tmp_path)
+    img_path = tmp_path / "scene.pgm"
+    write_pgm(make_image(0), img_path)
+    out = tmp_path / "out"
+    assert main(["--db-dir", str(db), "mark", str(img_path), "--chip", "chip1",
+                 "--out-dir", str(out)]) == 0
+    return db, out / "scene.marked.pgm", out
+
+
+def _verified(db, marked, out):
+    """verify's exit code and the bytes of its CSV and tamper bitmap."""
+    code = main(["--db-dir", str(db), "verify", str(marked), "--out-dir", str(out)])
+    return (code, (out / f"{marked.stem}.verify.csv").read_bytes(),
+            (out / f"{marked.stem}.tamper.pgm").read_bytes())
+
+
+def _edit_index(path, edit):
+    table = np.load(path, allow_pickle=False)
+    edit(table)
+    np.save(path, table)
+
+
+def _winner_holds_another_fingerprint(table):
+    table["fingerprint"][table["chip_id"] == "chip1"] = table["fingerprint"][table["chip_id"] == "chip2"]
+
+
+def _rename_chip1_row(table):
+    table["chip_id"][table["chip_id"] == "chip1"] = "chip0"
+
+
+@pytest.mark.parametrize("damage", [
+    lambda path: path.write_bytes(b"\x93NUMPY\x01\x00" + bytes(range(256)) * 4),
+    lambda path: path.write_bytes(path.read_bytes()[:300]),
+    lambda path: np.save(path, np.arange(6)),
+    lambda path: _edit_index(path, _winner_holds_another_fingerprint),
+], ids=["garbage", "truncated", "other-layout", "winner-row-fingerprint"])
+def test_verify_gives_the_same_verdict_whatever_the_index(tmp_path, damage):
+    db, marked, out = _marked(tmp_path)
+    cold = _verified(db, marked, out)
+    assert cold[0] == 0 and (db / INDEX_NAME).is_file()
+    assert _verified(db, marked, out) == cold
+    damage(db / INDEX_NAME)
+    assert _verified(db, marked, out) == cold
+    assert _verified(db, marked, out) == cold
+
+
+def test_verify_rejects_a_planted_winner_row(tmp_path, capsys):
+    # chip1's row, renamed to sort first: the scan would name chip0 the source
+    db, marked, out = _marked(tmp_path)
+    assert _verified(db, marked, out)[0] == 0
+    _edit_index(db / INDEX_NAME, _rename_chip1_row)
+    for _ in range(2):      # a row the loader trusted is not re-derived: the next run fails too
+        capsys.readouterr()
+        assert main(["--db-dir", str(db), "verify", str(marked), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(db / "chip1.enroll.json") in err[0] and "'chip0'" in err[0]
+
+
+def test_verify_when_the_index_cannot_be_written(tmp_path, monkeypatch):
+    db, marked, out = _marked(tmp_path)
+    names = sorted(os.listdir(db))
+
+    def refuse(*args):
+        raise PermissionError(13, "Permission denied")
+    monkeypatch.setattr(os, "replace", refuse)
+    unwritten = [_verified(db, marked, out) for _ in range(2)]
+    assert sorted(os.listdir(db)) == names          # no index, no temporary file
+    monkeypatch.undo()
+    assert unwritten == [_verified(db, marked, out)] * 2
+    assert sorted(os.listdir(db)) == sorted(names + [INDEX_NAME])
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root writes into read-only directories")
+def test_verify_read_only_db_dir(tmp_path):
+    db, marked, out = _marked(tmp_path)
+    writable = tmp_path / "writable"
+    shutil.copytree(db, writable)
+    expected = _verified(writable, marked, out)
+    names = sorted(os.listdir(db))
+    db.chmod(0o555)
+    try:
+        assert [_verified(db, marked, out) for _ in range(2)] == [expected] * 2
+        assert sorted(os.listdir(db)) == names
+    finally:
+        db.chmod(0o755)
 
 
 @pytest.mark.parametrize("payload", [
@@ -523,6 +614,8 @@ def test_consecutive_calls_parse_independently(tmp_path):
 
 # SHA-256 of every file the workspace below holds after its commands ran.
 GOLDEN_SHA256 = {
+    "db/.enroll-index.npy":
+        "2ba006c2461915d84081515a7c3da40470c25d79ae9f905aa45f1635ab25493b",
     "db/chip1.chip.json":
         "00e06369928d5afde85bad9a94680a165b50898e24c8d149932c5fa3c1ef5f2e",
     "db/chip1.enroll.json":

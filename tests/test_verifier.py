@@ -255,7 +255,7 @@ def test_identify_source(records, enrolled_db):
     assert identify_source(outsider.fingerprint, enrolled_db) is None
     assert identify_source(records[0].fingerprint, EnrollmentDB([])) is None
     with pytest.raises(ValueError, match="distinct chip_ids"):
-        EnrollmentDB([records[0].pack(), records[0].pack()])
+        EnrollmentDB([("chip1", 64, b"", "a.enroll.json"), ("chip1", 64, b"", "b.enroll.json")])
 
 
 def _reference_identify(fp_bits, rows, tau):
