@@ -42,10 +42,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _features(args) -> FeatureConfig:
-    return FeatureConfig(overlap=args.overlap)
-
-
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join([header] + rows) + "\n")
@@ -94,7 +90,7 @@ def cmd_chip_enroll(args) -> int:
 
 def cmd_mark(args) -> int:
     record = load_enrollment(enrollment_path(args.db_dir, args.chip))
-    features = _features(args)
+    features = FeatureConfig(overlap=args.overlap)
     layout = WatermarkLayout(grid_dim=args.grid_dim, puf_dim=record.fingerprint.bits.shape[0])
     img = read_pgm(args.image)
     wm = generate_watermark(img, record, features, layout, response_map=args.response_map)
@@ -115,7 +111,7 @@ def cmd_mark(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    features = _features(args)
+    features = FeatureConfig(overlap=args.overlap)
     layout = WatermarkLayout(grid_dim=args.grid_dim, puf_dim=args.puf_dim)
     db = load_enrollment_db(args.db_dir)
     img = read_pgm(args.image)
@@ -153,7 +149,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment_source_id(args) -> int:
-    features = _features(args)
+    features = FeatureConfig(overlap=args.overlap)
     db = load_enrollment_db(args.db_dir)
     if len(db) < 3:
         raise CliError(f"source-id experiment needs >= 3 enrolled chips, found {len(db)}")
@@ -202,7 +198,7 @@ def cmd_experiment_source_id(args) -> int:
 
 def cmd_experiment_tamper(args) -> int:
     record = load_enrollment(enrollment_path(args.db_dir, args.chip))
-    features = _features(args)
+    features = FeatureConfig(overlap=args.overlap)
     layout = WatermarkLayout(grid_dim=args.grid_dim, puf_dim=record.fingerprint.bits.shape[0])
     out_dir = Path(args.out_dir)
     rows = []
@@ -259,10 +255,10 @@ def cmd_experiment_robustness(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 def _add_common_feature_flags(parser) -> None:
-    parser.add_argument("--overlap", type=float, default=0.0,
+    parser.add_argument("--overlap", type=float, default=FeatureConfig.overlap,
                         help="double-threshold overlap width in intensity units "
                              "(0 = single threshold)")
-    parser.add_argument("--grid-dim", type=int, default=64,
+    parser.add_argument("--grid-dim", type=int, default=WatermarkLayout.grid_dim,
                         help="challenge grid side (image dims must divide by it)")
 
 
@@ -280,21 +276,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = chip.add_parser("new", help="create a simulated chip")
     p.add_argument("chip_id")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--array-dim", type=int, default=64)
-    p.add_argument("--dcr-median", type=float, default=100.0)
-    p.add_argument("--dcr-sigma", type=float, default=1.0)
-    p.add_argument("--doubling-temp", type=float, default=8.0)
-    p.add_argument("--doubling-temp-jitter", type=float, default=0.2)
-    p.add_argument("--ref-temp", type=float, default=25.0)
+    p.add_argument("--array-dim", type=int, default=ChipParams.array_dim)
+    p.add_argument("--dcr-median", type=float, default=ChipParams.dcr_median)
+    p.add_argument("--dcr-sigma", type=float, default=ChipParams.dcr_sigma)
+    p.add_argument("--doubling-temp", type=float, default=ChipParams.doubling_temp_mean)
+    p.add_argument("--doubling-temp-jitter", type=float,
+                   default=ChipParams.doubling_temp_jitter)
+    p.add_argument("--ref-temp", type=float, default=ChipParams.ref_temp)
     p.set_defaults(func=cmd_chip_new)
 
     p = chip.add_parser("enroll", help="acquire golden maps and store them")
     p.add_argument("chip_id")
     p.add_argument("--temperature", type=float, default=None,
                    help="acquisition temperature in C (default: chip reference)")
-    p.add_argument("--exposure", type=float, default=0.1)
-    p.add_argument("--frames", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0, help="acquisition noise seed")
+    p.add_argument("--exposure", type=float, default=AcquisitionConfig.exposure)
+    p.add_argument("--frames", type=int, default=AcquisitionConfig.n_frames)
+    p.add_argument("--seed", type=int, default=AcquisitionConfig.rng_seed,
+                   help="acquisition noise seed")
     p.set_defaults(func=cmd_chip_enroll)
 
     p = sub.add_parser("mark", help="watermark a PGM image")
@@ -308,11 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a marked PGM image")
     p.add_argument("image")
     p.add_argument("--out-dir", default=None, help="default: alongside the image")
-    p.add_argument("--puf-dim", type=int, default=64)
+    p.add_argument("--puf-dim", type=int, default=WatermarkLayout.puf_dim)
     p.add_argument("--response-map", choices=["h", "v", "both"], default="both")
-    p.add_argument("--tau-fingerprint", type=float, default=0.25)
-    p.add_argument("--tau-challenge", type=float, default=0.0)
-    p.add_argument("--tau-response", type=float, default=0.05)
+    p.add_argument("--tau-fingerprint", type=float, default=Thresholds.tau_fingerprint)
+    p.add_argument("--tau-challenge", type=float, default=Thresholds.tau_challenge)
+    p.add_argument("--tau-response", type=float, default=Thresholds.tau_response)
     _add_common_feature_flags(p)
     p.set_defaults(func=cmd_verify)
 
@@ -342,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlaps", default="0,6,12", help="comma-separated overlap widths")
     p.add_argument("--noise-seeds", default="101,102,103", help="comma-separated seeds")
     p.add_argument("--out-dir", default="wm_out")
-    p.add_argument("--grid-dim", type=int, default=64)
+    p.add_argument("--grid-dim", type=int, default=WatermarkLayout.grid_dim)
     p.set_defaults(func=cmd_experiment_robustness)
 
     return parser

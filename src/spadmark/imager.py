@@ -194,14 +194,31 @@ def acquire_dcm(chip: ChipModel, cfg: AcquisitionConfig) -> np.ndarray:
 
 # --- record files -------------------------------------------------------------
 
+def read_bytes(path: str | Path) -> bytes:
+    """A file's bytes. os.read costs a third of ``open(path, "rb").read()``
+    on a small record, and a read of a regular file returns less than it
+    asked for only at the end, so a record under 64 KiB takes one read. An
+    error names the path, as open's would."""
+    path = os.fspath(path)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = [os.read(fd, 1 << 16)]
+        while len(chunks[-1]) == 1 << 16:
+            chunks.append(os.read(fd, 1 << 16))
+    except OSError as exc:      # a directory opens, and fails only here
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def json_record(path: str | Path, data: bytes | None = None):
     """Parse a JSON object record, the file's bytes ``data`` if the caller
     already read them; return ``field(key, parse)``, which gives
     ``parse(payload[key])``. Bad UTF-8 or JSON, a non-object, a missing key or
     a value ``parse`` rejects raises ValueError naming the file (and field)."""
     if data is None:
-        with open(path, "rb") as f:
-            data = f.read()
+        data = read_bytes(path)
     try:
         payload = json.loads(data)
     except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError

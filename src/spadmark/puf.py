@@ -19,17 +19,19 @@ chip_id; ``load_enrollment_db`` rejects a duplicate. In memory it is what
 source identification needs: the chip_ids, map sides and packed
 fingerprints as one matrix, plus each record's path. A record's maps are
 read from its file only when the record itself is asked for. The directory
-also holds a derived index, ``.enroll-index.npy``, of those fields keyed by
-the SHA-256 of each record file's bytes, so a load parses only the records
-that changed since the last one. The records stay the source of truth: the
-index is safe to delete, and is not written where the directory is
+also holds a derived index, ``.enroll-index``: the sorted SHA-256 digests of
+the record files whose chip_id, map side and fingerprint can be read back
+from their bytes without a JSON parse, so a load parses only the records
+that changed since the last one. The index holds no field, so no damage to
+it alone can name, hide or rename a chip; the records stay the source of
+truth. It is safe to delete, and is not written where the directory is
 read-only.
 """
 
 from __future__ import annotations
 
+import binascii
 import os
-import re
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from dataclasses import asdict, dataclass
@@ -37,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imager import (AcquisitionConfig, ChipModel, acquire_dcm, json_record,
+from .imager import (AcquisitionConfig, ChipModel, acquire_dcm, json_record, read_bytes,
                      save_json_record, write_atomic)
 
 
@@ -116,10 +118,10 @@ def fingerprint(h: np.ndarray, v: np.ndarray) -> Fingerprint:
 
 
 def golden_acquisition(chip: ChipModel, rng_seed: int = 0) -> AcquisitionConfig:
-    """Default enrollment acquisition: 100 frames of 0.1 s at the reference
-    temperature, enough integration to suppress shot noise on most pixels."""
-    return AcquisitionConfig(temperature=chip.params.ref_temp, exposure=0.1,
-                             n_frames=100, rng_seed=rng_seed)
+    """Default enrollment acquisition: AcquisitionConfig's frame count and
+    exposure at the chip's reference temperature, enough integration to
+    suppress shot noise on most pixels."""
+    return AcquisitionConfig(temperature=chip.params.ref_temp, rng_seed=rng_seed)
 
 
 def enroll(chip: ChipModel, cfg: AcquisitionConfig | None = None) -> EnrollmentRecord:
@@ -196,26 +198,12 @@ def hex_to_bits(hexstr: str, n_bits: int) -> np.ndarray:
 
 MAPS = ("rdcm_h", "rdcm_v", "fingerprint")
 
-# A database directory's derived index: one row per record file, keyed by
-# the SHA-256 of the file's bytes, holding what the fingerprint scan needs.
-# The name does not end in ".enroll.json", so the index is never a record.
-INDEX_NAME = ".enroll-index.npy"
+# A database directory's derived index: the sorted 32-byte SHA-256 digests of
+# the record files ``_scan_fields`` can read. The name does not end in
+# ".enroll.json", so the index is never a record.
+INDEX_NAME = ".enroll-index"
 
 Row = tuple[str, int, bytes]     # chip_id, map side, packed fingerprint
-
-# The index is a .npy file (version 1.0) of one structured array, with the
-# header numpy writes for it; chip_id width, fingerprint width and row count
-# vary. Matching the header text, instead of parsing it as numpy does, keeps
-# a damaged file from raising or allocating more than its size.
-_NPY_MAGIC = b"\x93NUMPY\x01\x00"
-_INDEX_LAYOUT = (b"{'descr': [('digest', '|V32'), ('chip_id', '<U%d'), ('dim', '<i8'), "
-                 b"('fingerprint', '|u1', (%d,))], 'fortran_order': False, 'shape': (%d,), }")
-_INDEX_HEADER = re.compile(re.escape(_INDEX_LAYOUT).replace(b"%d", rb"(\d{1,12})") + rb" *\n")
-
-
-def _index_dtype(id_len: int, fp_len: int) -> np.dtype:
-    return np.dtype([("digest", "V32"), ("chip_id", f"<U{id_len}"), ("dim", "<i8"),
-                     ("fingerprint", "u1", (fp_len,))])
 
 
 class EnrollmentDB:
@@ -301,73 +289,29 @@ def load_enrollment(path: str | Path) -> EnrollmentRecord:
     return _read_record(path).unpack()
 
 
-def _read_index(path: str) -> dict[bytes, Row]:
-    """An index file's rows by record digest. An index that is missing,
-    unreadable, truncated or in another layout has none."""
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError:
-        return {}
-    if not data.startswith(_NPY_MAGIC):
-        return {}
-    end = 10 + int.from_bytes(data[8:10], "little")
-    match = _INDEX_HEADER.fullmatch(data[10:end])
-    if not match:
-        return {}
-    id_len, width, n = map(int, match.groups())
-    itemsize = 40 + 4 * id_len + width
-    if not n or id_len < 1 or n * itemsize != len(data) - end:
-        return {}
-    table = np.frombuffer(data, _index_dtype(id_len, width), offset=end)
-    dims = table["dim"]
-    if ((dims < 0) | (dims > 8 * width) | (dims * dims > 8 * width)).any():
-        return {}
-    at = end + itemsize - width         # row 0's fingerprint; each row ends with one
-    return {digest: (chip_id, dim, data[at + i * itemsize:at + i * itemsize + -(-dim * dim // 8)])
-            for i, (digest, chip_id, dim) in enumerate(zip(
-                table["digest"].tolist(), table["chip_id"].tolist(), dims.tolist()))}
-
-
-def _write_index(path: str, rows: dict[bytes, Row]) -> None:
-    id_len = max([1] + [len(chip_id) for chip_id, _, _ in rows.values()])
-    width = max((len(fp) for _, _, fp in rows.values()), default=0)
-    table = np.zeros(len(rows), _index_dtype(id_len, width))
-    table["digest"] = list(rows)
-    table["chip_id"] = [chip_id for chip_id, _, _ in rows.values()]
-    table["dim"] = [dim for _, dim, _ in rows.values()]
-    table["fingerprint"] = np.frombuffer(
-        b"".join(fp.ljust(width, b"\0") for _, _, fp in rows.values()),
-        dtype=np.uint8).reshape(len(rows), width)
-    header = _INDEX_LAYOUT % (id_len, width, len(rows))
-    header += b" " * (-(len(header) + 11) % 64) + b"\n"     # .npy aligns the data to 64
-    write_atomic(path, _NPY_MAGIC + len(header).to_bytes(2, "little") + header, table)
-
-
-def _indexable(row: Row, data: bytes) -> bool:
-    """Whether an index row can stand for the record file ``data``: numpy's
-    U dtype keeps its chip_id (it drops trailing NULs), and ``data`` holds its
-    fingerprint as save_enrollment writes it, so a damaged row costs a parse
-    instead of hiding its chip."""
-    chip_id, _, fp = row
-    at = data.find(b'"fingerprint": "')
-    return (at >= 0 and not chip_id.endswith("\0")
-            and data.startswith(b'%s"' % fp.hex().encode(), at + 16))
-
-
-def _read_bytes(path: str) -> bytes:
-    """A file's bytes. os.read costs a third of ``open(path, "rb").read()``
-    on a small record; an error names the path, as open's would."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        chunks = []
-        while chunk := os.read(fd, 1 << 16):
-            chunks.append(chunk)
-    except OSError as exc:      # a directory opens, and fails only here
-        raise OSError(exc.errno, exc.strerror, path) from None
-    finally:
-        os.close(fd)
-    return b"".join(chunks)
+def _scan_fields(data: bytes) -> Row | None:
+    """A record file's chip_id, map side and packed fingerprint, read from the
+    three lines save_enrollment writes for them (adjacent, as its keys are
+    sorted) without parsing the file; None, never an error, for a file not
+    written that way. The chip_id holds no backslash, and the fingerprint is
+    exactly the hex of ceil(side^2 / 8) bytes, so the file's size bounds
+    every value. Nothing else of the file is read: a caller checks the row
+    against a parse before it trusts the scan of those bytes."""
+    at = data.find(b'\n  "array_dim": ') + 16
+    comma = data.find(b",", at, at + 10)                # a side of at most 9 digits
+    dim = data[at:comma]
+    if at < 16 or not dim.isdigit() or not data.startswith(b',\n  "chip_id": "', comma):
+        return None
+    end = data.find(b'"', comma + 16)                   # closes the chip_id
+    chip_id, side = data[comma + 16:end], int(dim)
+    hex_end = end + 21 + 2 * -(-side * side // 8)
+    if (b"\\" in chip_id or not data.startswith(b'",\n  "fingerprint": "', end)
+            or not data.startswith(b'"', hex_end)):
+        return None
+    try:    # binascii decodes the bytes, not a str: a third of hex_to_packed's cost
+        return chip_id.decode(), side, binascii.a2b_hex(data[end + 21:hex_end])
+    except ValueError:
+        return None
 
 
 def load_enrollment_db(db_dir: str | Path) -> EnrollmentDB:
@@ -376,37 +320,48 @@ def load_enrollment_db(db_dir: str | Path) -> EnrollmentDB:
     files with one chip_id raise ValueError naming both: verify names its
     source by chip_id, so it could not tell which record's maps to query.
 
-    Every file is read in full. One whose SHA-256 has an indexable row in
-    the directory's ``INDEX_NAME`` is not parsed; the key is the content, so
-    an edited, renamed, added or removed record is never served stale. The
-    index is rewritten, atomically, only when the rows it should hold
-    changed, and silently not where it cannot be written.
+    Every file is read in full. One whose SHA-256 is in the directory's
+    ``INDEX_NAME`` gets its row from ``_scan_fields`` instead of a parse; the
+    key is the content, so an edited, renamed, added or removed record is
+    never served stale. A digest is added only for a file that parsed in
+    full and scans to the same row, so a damaged, stale or foreign index
+    costs parses, never a wrong row. Only a digest planted by hand for a
+    file written otherwise can skip its checks or give it a row its JSON
+    does not hold; ``EnrollmentDB.record`` re-parses the record a verdict
+    names and rejects such a row. The index is rewritten, sorted and
+    atomically, only when the set of digests it should hold changed, and
+    silently not where it cannot be written.
     """
     import hashlib      # loads OpenSSL's libcrypto, ~3.7 MB resident: only loads need it
 
     index_path = os.path.join(db_dir, INDEX_NAME)
-    index = _read_index(index_path)
+    try:
+        index = read_bytes(index_path)
+    except OSError:
+        index = b""
+    known = {index[at:at + 32] for at in range(0, len(index) - 31, 32)}
     paths: dict[str, str] = {}
-    rows, fresh = [], {}
+    rows, fresh = [], set()
     prefix = os.path.join(db_dir, "")   # prefix + name is os.path.join(db_dir, name)
     for name in sorted(os.listdir(db_dir)):
         if not name.endswith(".enroll.json"):
             continue
         path = prefix + name
-        data = _read_bytes(path)
+        data = read_bytes(path)
         digest = hashlib.sha256(data).digest()
-        row = index.get(digest)
-        hit = row is not None and _indexable(row, data)
-        if not hit:
+        row = _scan_fields(data) if digest in known else None
+        if row is None:
             record = _read_record(path, data)
             row = (record.chip_id, record.dim, record.fingerprint)
+            if _scan_fields(data) == row:
+                fresh.add(digest)
+        else:
+            fresh.add(digest)
         if row[0] in paths:
             raise ValueError(f"{paths[row[0]]} and {path} both enroll chip_id {row[0]!r}")
         paths[row[0]] = path
         rows.append((*row, path))
-        if hit or _indexable(row, data):
-            fresh[digest] = row
-    if fresh != index:
+    if fresh != known:
         with suppress(OSError):
-            _write_index(index_path, fresh)
+            write_atomic(index_path, b"".join(sorted(fresh)))
     return EnrollmentDB(rows)

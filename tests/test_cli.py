@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import spadmark
-from spadmark import (FeatureConfig, embed_lsb, generate_watermark, load_enrollment,
+from spadmark import (AUTHENTIC, FeatureConfig, embed_lsb, generate_watermark, load_enrollment,
                       load_watermark, psnr, read_pgm, write_pgm)
 from spadmark.cli import build_parser, main
 from spadmark.puf import INDEX_NAME
@@ -212,6 +213,18 @@ def test_module_entry_point_reports_one_line(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    write_pgm(make_image(0), tmp_path / "scene.pgm")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(blocks[0].split("```")[0], namespace)
+    assert namespace["report"].verdict == AUTHENTIC
+    assert namespace["report"].fingerprint_best_match[0] == "cam-a"
+
+
 def test_verify_empty_db_dir_is_unknown_source(tmp_path):
     db = _setup_db(tmp_path, n_chips=1)
     img_path = tmp_path / "scene.pgm"
@@ -264,26 +277,17 @@ def _verified(db, marked, out):
             (out / f"{marked.stem}.tamper.pgm").read_bytes())
 
 
-def _edit_index(path, edit):
-    table = np.load(path, allow_pickle=False)
-    edit(table)
-    np.save(path, table)
-
-
-def _winner_holds_another_fingerprint(table):
-    table["fingerprint"][table["chip_id"] == "chip1"] = table["fingerprint"][table["chip_id"] == "chip2"]
-
-
-def _rename_chip1_row(table):
-    table["chip_id"][table["chip_id"] == "chip1"] = "chip0"
+def _npy_bytes(table) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, table)
+    return buffer.getvalue()
 
 
 @pytest.mark.parametrize("damage", [
     lambda path: path.write_bytes(b"\x93NUMPY\x01\x00" + bytes(range(256)) * 4),
-    lambda path: path.write_bytes(path.read_bytes()[:300]),
-    lambda path: np.save(path, np.arange(6)),
-    lambda path: _edit_index(path, _winner_holds_another_fingerprint),
-], ids=["garbage", "truncated", "other-layout", "winner-row-fingerprint"])
+    lambda path: path.write_bytes(path.read_bytes()[:50]),
+    lambda path: path.write_bytes(_npy_bytes(np.arange(6))),
+], ids=["garbage", "truncated", "other-layout"])
 def test_verify_gives_the_same_verdict_whatever_the_index(tmp_path, damage):
     db, marked, out = _marked(tmp_path)
     cold = _verified(db, marked, out)
@@ -294,16 +298,23 @@ def test_verify_gives_the_same_verdict_whatever_the_index(tmp_path, damage):
     assert _verified(db, marked, out) == cold
 
 
-def test_verify_rejects_a_planted_winner_row(tmp_path, capsys):
-    # chip1's row, renamed to sort first: the scan would name chip0 the source
+def test_verify_rejects_a_planted_digest(tmp_path, capsys):
+    # chip1's record with a later "chip_id" key: JSON reads chip9, its lines
+    # chip1. Loads never index it; its digest planted by hand gives the scan
+    # chip1's row, which the record the verdict names rejects, on every run.
     db, marked, out = _marked(tmp_path)
+    crafted = db / "chip1.enroll.json"
+    crafted.write_bytes(crafted.read_bytes()[:-3] + b',\n  "chip_id": "chip9"\n}\n')
     assert _verified(db, marked, out)[0] == 0
-    _edit_index(db / INDEX_NAME, _rename_chip1_row)
-    for _ in range(2):      # a row the loader trusted is not re-derived: the next run fails too
+    assert (out / "scene.marked.verify.csv").read_text().split(",")[-3] == "chip9"
+    assert (db / INDEX_NAME).read_bytes() == b"".join(sorted(
+        hashlib.sha256((db / f"chip{i}.enroll.json").read_bytes()).digest() for i in (2, 3)))
+    (db / INDEX_NAME).write_bytes(hashlib.sha256(crafted.read_bytes()).digest())
+    for _ in range(2):
         capsys.readouterr()
         assert main(["--db-dir", str(db), "verify", str(marked), "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and str(db / "chip1.enroll.json") in err[0] and "'chip0'" in err[0]
+        assert len(err) == 1 and err[0].startswith(f"wm: error: {crafted}: ") and "'chip1'" in err[0]
 
 
 def test_verify_when_the_index_cannot_be_written(tmp_path, monkeypatch):
@@ -614,8 +625,8 @@ def test_consecutive_calls_parse_independently(tmp_path):
 
 # SHA-256 of every file the workspace below holds after its commands ran.
 GOLDEN_SHA256 = {
-    "db/.enroll-index.npy":
-        "2ba006c2461915d84081515a7c3da40470c25d79ae9f905aa45f1635ab25493b",
+    "db/.enroll-index":
+        "1a9e2a73be2434fe911415cdc888c20c8ef1f853d5e7f8f6b1af4d5a77c0a02a",
     "db/chip1.chip.json":
         "00e06369928d5afde85bad9a94680a165b50898e24c8d149932c5fa3c1ef5f2e",
     "db/chip1.enroll.json":

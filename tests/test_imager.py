@@ -10,6 +10,7 @@ from hypothesis import given
 
 from spadmark import (AcquisitionConfig, ChipParams, acquire_dcm, dcr_map,
                       load_chip, new_chip, save_chip)
+from spadmark.imager import read_bytes
 from conftest import FUZZ, fuzzed_json
 
 
@@ -188,3 +189,10 @@ def test_load_chip_returns_or_raises_value_error(tmp_path, raw):
     path.write_bytes(raw)
     with suppress(ValueError):
         load_chip(path)
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 << 16])
+def test_read_bytes_reads_the_whole_file(tmp_path, size):
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    (tmp_path / "f").write_bytes(data)
+    assert read_bytes(tmp_path / "f") == data

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spadmark import (AcquisitionConfig, ChipParams,
                       acquire_dcm, enroll, fingerprint, golden_acquisition,
@@ -316,6 +317,11 @@ def _record_bytes(chip_id: str, dim: int, seed: int, compact: bool) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
+def _flipped(hexstr: str) -> str:
+    """``hexstr`` with its first bit flipped."""
+    return "%x" % (int(hexstr[0], 16) ^ 8) + hexstr[1:]
+
+
 def _full_parse(db_dir):
     """What load_enrollment_db gave before the index: every record parsed, in
     file-name order, a repeated chip_id rejected naming both files."""
@@ -367,17 +373,24 @@ class _CountParses:
         return _read_record(*args)
 
 
+def _written_as_saved(data: bytes) -> bool:
+    """Whether a record file is what save_enrollment writes for its JSON,
+    with a chip_id that JSON does not escape: files an index must hold."""
+    try:
+        payload = json.loads(data)
+    except ValueError:
+        return False
+    return (isinstance(payload, dict) and "\\" not in json.dumps(payload.get("chip_id"))
+            and (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode() == data)
+
+
 def _unindexable(db_dir) -> int:
-    """How many records no index row can stand for: a chip_id numpy's U
-    dtype cannot hold, or a file not written as save_enrollment writes."""
+    """How many records no index can stand for."""
     count = 0
     for name in os.listdir(db_dir):
-        path = os.path.join(db_dir, name)
         if name.endswith(".enroll.json"):
-            with open(path, "rb") as f:
-                data = f.read()
-            count += (_read_record(path).chip_id.endswith("\x00")
-                      or b'"fingerprint": "' not in data)
+            with open(os.path.join(db_dir, name), "rb") as f:
+                count += not _written_as_saved(f.read())
     return count
 
 
@@ -449,6 +462,109 @@ def test_index_load_equals_full_parse(tmp_path, initial, edits):
             assert _outcome(_loaded, db_dir) == expected
 
 
+def test_record_checks_its_file_against_the_row(tmp_path):
+    # a record rewritten between the load and the verdict is not served
+    chip = new_chip("c0", 0)
+
+    def save(seed):
+        return save_enrollment(enroll(chip, AcquisitionConfig(n_frames=1, rng_seed=seed)), tmp_path)
+    path = save(1)
+    db = load_enrollment_db(tmp_path)
+    save(2)
+    with pytest.raises(ValueError, match="changed since loading") as exc:
+        db.record("c0")
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+_SAVED = _record_bytes("c0", 3, 0, False)
+_HEX = json.loads(_SAVED)["fingerprint"]
+_OTHER_HEX = _flipped(_HEX)
+
+
+def _line(key: str, value=None) -> bytes:
+    return f'"{key}": {json.dumps(json.loads(_SAVED)[key] if value is None else value)}'.encode()
+
+
+def _text(*lines: bytes) -> bytes:
+    """A record file of these lines, indented as save_enrollment indents them."""
+    return b"{\n  " + b",\n  ".join(lines) + b"\n}\n"
+
+
+@pytest.mark.parametrize("data", [
+    _SAVED.replace(b'"chip_id": "c0"', b'"chip_id": "c\\u0030"'),
+    _SAVED.replace(b'"chip_id": "c0"', b'"chip_id": "c0", "zz": "c1"'),
+    _text(_line("chip_id", "c1"), *map(_line, ["acquisition", "array_dim"]), _line("xhip_id", "c0"),
+          *map(_line, ["fingerprint", "rdcm_h", "rdcm_v"])),
+    _text(_line("fingerprint", _OTHER_HEX), *map(_line, ["acquisition", "array_dim", "chip_id"]),
+          _line("xingerprint", _HEX), _line("rdcm_h"), _line("rdcm_v")),
+    _SAVED.replace(_HEX.encode(), _HEX.encode() + b"00", 1),
+    _SAVED.replace(_HEX.encode(), b"zz" + _HEX[2:].encode(), 1),
+    _SAVED.replace(b'"chip_id": "c0"', b'"chip_id": "\xff"'),
+    b'{\n"array_dim": 3' + _SAVED[_SAVED.index(b',\n  "chip_id"'):],
+    _SAVED.replace(b'"array_dim": 3', b'"array_dim": 3.0'),
+    _SAVED.replace(b'"array_dim": 3', b'"array_dim": ' + b"9" * 30),
+    _SAVED.replace(b'"array_dim": 3', b'"array_dim": ' + b"1" * 5000),
+    _record_bytes("c0", 3, 0, True),
+], ids=["escaped-chip_id", "quote-in-chip_id", "key-in-place-of-chip_id",
+        "key-in-place-of-fingerprint", "long-fingerprint", "non-hex-fingerprint",
+        "non-utf8-chip_id", "no-array_dim-line", "float-array_dim", "30-digit-array_dim",
+        "5000-digit-array_dim", "compact"])
+def test_scan_reads_only_the_lines_save_enrollment_writes(tmp_path, data):
+    assert puf._scan_fields(data) is None
+    (tmp_path / "c.enroll.json").write_bytes(data)
+    (tmp_path / INDEX_NAME).write_bytes(hashlib.sha256(data).digest())
+    assert _outcome(_loaded, tmp_path) == _outcome(_full_parse, tmp_path)
+
+
+def _nested() -> bytes:
+    """A compact record of chip c1 whose last key holds _SAVED's lines."""
+    payload = json.dumps({**json.loads(_SAVED), "chip_id": "c1"}, sort_keys=True).encode()
+    return b"{\n" + payload[1:-1] + b', "zz": {' + _SAVED[_SAVED.index(b'\n  "array_dim"'):-3] + b"}}\n"
+
+
+@pytest.mark.parametrize("data", [
+    _SAVED[:-3] + b',\n  "chip_id": "c1"\n}\n',
+    _SAVED[:-3] + b',\n  "chip\\u005fid": "c1"\n}\n',
+    _SAVED[:-3] + b',\n  ' + _line("fingerprint", _OTHER_HEX) + b"\n}\n",
+    _SAVED[:-3] + b',\n  "array_dim": 2\n}\n',
+    _nested(),
+    _SAVED.replace(_HEX.encode(), _HEX[:-1].encode() + b"%x" % (int(_HEX[-1], 16) | 1), 1),
+], ids=["later-chip_id", "later-escaped-key", "later-fingerprint", "later-array_dim", "nested",
+        "padding-bit-set"])
+def test_planted_digest_of_a_misread_record(tmp_path, data):
+    # the lines are save_enrollment's, but JSON reads another row: the load
+    # never adds such a digest, and one planted by hand gives the scan's row,
+    # which the record it names rejects, naming the file
+    path = tmp_path / "c.enroll.json"
+    path.write_bytes(data)
+    parsed = _read_record(path)
+    assert puf._scan_fields(data) != (parsed.chip_id, parsed.dim, parsed.fingerprint)
+    assert _outcome(_loaded, tmp_path) == _outcome(_full_parse, tmp_path)
+    assert not (tmp_path / INDEX_NAME).exists()
+    (tmp_path / INDEX_NAME).write_bytes(hashlib.sha256(data).digest())
+    db = load_enrollment_db(tmp_path)
+    assert db.chip_ids == ["c0"]
+    with pytest.raises(ValueError, match="does not match the database row") as exc:
+        db.record("c0")
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+@FUZZ
+@given(at=st.integers(0, len(_SAVED)), cut=st.integers(0, 60),
+       noise=st.binary(max_size=24) | st.sampled_from([b"9" * 30, b"1" * 5000, b"\\", b'"', b" ",
+                                                      b'"chip_id"', b"\n  ", b"ff"]))
+def test_scan_fields_gives_the_parsed_row_or_none(at, cut, noise):
+    # never an error, and a splice of a saved record that still parses scans
+    # to the parsed row or to None
+    data = _SAVED[:at] + noise + _SAVED[at + cut:]
+    row = puf._scan_fields(data)
+    if row is not None:
+        with suppress(ValueError):
+            record = _read_record("c.enroll.json", data)
+            assert row == (record.chip_id, record.dim, record.fingerprint)
+        assert len(row[2]) <= len(data)
+
+
 def test_index_parses_only_changed_records(tmp_path, monkeypatch):
     def save(i, seed):
         return save_enrollment(enroll(new_chip(f"c{i}", i),
@@ -472,35 +588,71 @@ def test_index_parses_only_changed_records(tmp_path, monkeypatch):
     assert not np.array_equal(changed.fingerprints[2], cold.fingerprints[2])
 
 
-@pytest.fixture(scope="module")
-def index_bytes(tmp_path_factory):
-    db_dir = tmp_path_factory.mktemp("indexed")
-    for i, dim in enumerate((2, 3, 5)):
-        (db_dir / f"c{i}.enroll.json").write_bytes(_record_bytes(f"c{i}", dim, i, False))
-    load_enrollment_db(db_dir)
-    return (db_dir / INDEX_NAME).read_bytes()
+def _crafted_bytes(record, key: str, later: bool) -> bytes:
+    """A valid record file as save_enrollment writes it, plus a second
+    ``key`` with another valid value, after its standard line (``later``:
+    JSON reads that one) or before it."""
+    chip_id, dim, seed, _ = record
+    data = _record_bytes(chip_id, dim, seed, False)
+    value = {"chip_id": chip_id + "x", "array_dim": dim - 1,
+             "fingerprint": _flipped(json.loads(data)["fingerprint"])}[key]
+    line = f'  "{key}": {json.dumps(value)}'.encode()
+    if later:
+        return data[:-3] + b",\n" + line + b"\n}\n"
+    return b"{\n" + line + b",\n" + data[2:]
+
+
+FILES = st.tuples(RECORDS, st.sampled_from([None, "chip_id", "array_dim", "fingerprint"]),
+                  st.booleans())
+INDEX_PARTS = st.tuples(st.sampled_from(["file", "other", "cut", "garbage"]), st.integers(0, 9),
+                        st.binary(max_size=40) | st.binary(min_size=32, max_size=32))
 
 
 @FUZZ
-@given(cut=st.integers(0, 400), at=st.integers(0, 400), noise=st.binary(max_size=24))
-def test_index_reader_returns_rows_or_none(tmp_path, index_bytes, cut, at, noise):
-    # garbage, truncated or overwritten index bytes give rows or none, never an error
-    path = tmp_path / INDEX_NAME
-    for data in (index_bytes[:cut], index_bytes[:at] + noise + index_bytes[at + len(noise):],
-                 noise):
-        path.write_bytes(data)
-        rows = puf._read_index(str(path))
-        assert isinstance(rows, dict)
-
-
-@pytest.mark.parametrize("edit", [
-    (b"'<i8'", b"'<i4'"), (b"'chip_id'", b"'chip_ix'"), (b"'|V32'", b"'|V31'"),
-    (b"(3,)", b"(4,)"), (b"(3,)", b"(1000000000000,)"), (b"False", b"True "),
-    (b"\x01\x00", b"\x02\x00"),
-])
-def test_index_in_another_layout_counts_as_empty(tmp_path, index_bytes, edit):
-    old, new = edit
-    assert old in index_bytes
-    path = tmp_path / INDEX_NAME
-    path.write_bytes(index_bytes.replace(old, new, 1))
-    assert puf._read_index(str(path)) == {}
+@given(files=st.lists(FILES, max_size=4), parts=st.lists(INDEX_PARTS, max_size=6))
+@example(files=[(("c", 2, 0, False), "chip_id", True)], parts=[("file", 0, b"")])
+@example(files=[(("c", 2, 0, False), None, False), (("c", 3, 1, False), "chip_id", True)],
+         parts=[("garbage", 0, bytes(32)), ("file", 1, b"")])
+def test_any_index_bytes_give_the_full_parse(tmp_path, files, parts):
+    # garbage, digests cut mid-way, repeated, of records not in the directory:
+    # the load gives the full parse's database or its error. Only a planted
+    # digest of a record whose lines disagree with its JSON (a later second
+    # key) changes that, and then the load fails, naming such a record if
+    # the full parse would not fail
+    with tempfile.TemporaryDirectory(dir=tmp_path) as db_dir:
+        blobs = [_crafted_bytes(record, key, later) if key else _record_bytes(*record)
+                 for record, key, later in files]
+        for i, data in enumerate(blobs):
+            with open(os.path.join(db_dir, f"r{i}.enroll.json"), "wb") as f:
+                f.write(data)
+        index = b""
+        for kind, pick, noise in parts:
+            if kind == "garbage" or not blobs:
+                index += noise
+            elif kind == "other":
+                index += hashlib.sha256(_record_bytes("o", 2, pick, False)).digest()
+            else:
+                digest = hashlib.sha256(blobs[pick % len(blobs)]).digest()
+                index += digest if kind == "file" else digest[:len(noise) % 32]
+        index_path = os.path.join(db_dir, INDEX_NAME)
+        with open(index_path, "wb") as f:
+            f.write(index)
+        expected = _outcome(_full_parse, db_dir)
+        outcome = _outcome(_loaded, db_dir)
+        planted = {index[at:at + 32] for at in range(0, len(index) - 31, 32)}
+        misread = [f"r{i}.enroll.json" for i, (data, (_, key, later)) in enumerate(zip(blobs, files))
+                   if key and later and hashlib.sha256(data).digest() in planted]
+        if outcome != expected:
+            assert misread and isinstance(outcome[0], type)
+            assert isinstance(expected[0], type) or any(name in outcome[1] for name in misread)
+        if not isinstance(outcome[0], type):
+            # digests of files present, every saved one among them
+            with open(index_path, "rb") as f:
+                held = f.read()
+            digests = {held[at:at + 32] for at in range(0, len(held) - 31, 32)}
+            assert digests <= {hashlib.sha256(data).digest() for data in blobs}
+            assert digests >= {hashlib.sha256(data).digest() for data in blobs
+                               if _written_as_saved(data)}
+            parses = _CountParses()
+            assert _outcome(lambda d: _loaded(d, parses), db_dir) == expected
+            assert parses.n == len(blobs) - len(digests)
