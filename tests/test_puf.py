@@ -1,3 +1,4 @@
+import base64
 import errno
 import hashlib
 import json
@@ -7,6 +8,7 @@ import tempfile
 import tracemalloc
 from contextlib import suppress
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -586,6 +588,64 @@ def test_index_parses_only_changed_records(tmp_path, monkeypatch):
     assert parses.n == 1 and index.stat().st_ino != inode
     assert np.array_equal(changed.record("c2").rdcm_h, load_enrollment(path).rdcm_h)
     assert not np.array_equal(changed.fingerprints[2], cold.fingerprints[2])
+
+
+@pytest.fixture(scope="module")
+def index_bytes():
+    """Three saved records of sides 2, 3 and 5, and the index a load writes
+    for them: their sorted digests."""
+    files = {f"c{i}.enroll.json": _record_bytes(f"c{i}", dim, i, False)
+             for i, dim in enumerate((2, 3, 5))}
+    return files, b"".join(sorted(hashlib.sha256(data).digest() for data in files.values()))
+
+
+def _write_db(db_dir, files, index: bytes) -> None:
+    for name, data in files.items():
+        (db_dir / name).write_bytes(data)
+    (db_dir / INDEX_NAME).write_bytes(index)
+
+
+def _chunks(data: bytes) -> set[bytes]:
+    return {data[at:at + 32] for at in range(0, len(data) - 31, 32)}
+
+
+@FUZZ
+@given(cut=st.integers(0, 120), at=st.integers(0, 120), noise=st.binary(max_size=40))
+def test_index_reader_returns_rows_or_none(tmp_path, index_bytes, cut, at, noise):
+    # cut, overwritten or random index bytes: each record gets its row from a
+    # whole digest left in place or from a parse, never an error, and after
+    # the load the index lists exactly the records' digests
+    files, index = index_bytes
+    for data in (index[:cut], index[:at] + noise + index[at + len(noise):], noise):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as db_dir:
+            _write_db(Path(db_dir), files, data)
+            expected = _outcome(_full_parse, db_dir)
+            parses = _CountParses()
+            assert _outcome(lambda d: _loaded(d, parses), db_dir) == expected
+            assert parses.n == len(files) - len(_chunks(data) & _chunks(index))
+            assert _chunks((Path(db_dir) / INDEX_NAME).read_bytes()) == _chunks(index)
+
+
+@pytest.mark.parametrize("edit", [
+    (b"", b"\0"),                                               # shifted by one byte
+    (lambda index: index.hex().encode(),),                      # digests as hex text
+    (lambda index: b"".join(d[::-1] for d in sorted(_chunks(index))),),     # byte-reversed
+    (lambda index: b"".join(index[at:at + 16] for at in range(0, len(index), 32)),),    # halves
+    (lambda index: base64.b64encode(index),),
+    (lambda index: b"".join(bytes(16) + d + bytes(16) for d in sorted(_chunks(index))),),
+    (lambda index: b"".join(hashlib.sha256(d).digest() for d in sorted(_chunks(index))),),
+])
+def test_index_in_another_layout_counts_as_empty(tmp_path, index_bytes, edit):
+    # an index whose 32-byte chunks are not the records' digests serves no
+    # row: every record is parsed, and the load writes the digest layout
+    files, index = index_bytes
+    other = index.replace(*edit, 1) if isinstance(edit[0], bytes) else edit[0](index)
+    assert other != index and not _chunks(other) & _chunks(index)
+    _write_db(tmp_path, files, other)
+    parses = _CountParses()
+    assert _outcome(lambda d: _loaded(d, parses), tmp_path) == _outcome(_full_parse, tmp_path)
+    assert parses.n == len(files)
+    assert (tmp_path / INDEX_NAME).read_bytes() == index
 
 
 def _crafted_bytes(record, key: str, later: bool) -> bytes:
