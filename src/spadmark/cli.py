@@ -17,7 +17,8 @@ import numpy as np
 from .codec import WatermarkLayout, Watermark, embed_lsb, read_pgm, save_watermark, write_pgm
 from .features import FeatureConfig
 from .imager import AcquisitionConfig, ChipParams, chip_path, load_chip, new_chip, save_chip
-from .puf import enroll, enrollment_path, load_enrollment, load_enrollment_db, save_enrollment
+from .puf import (EnrollmentRecord, enroll, enrollment_path, load_enrollment, load_enrollment_db,
+                  save_enrollment)
 from .verifier import (AUTHENTIC, TAMPERED, UNKNOWN_SOURCE, Thresholds,
                        generate_watermark, hamming_frac, robustness_sweep,
                        sensitivity, tamper_bitmap, verify, watermark_bitmap,
@@ -55,6 +56,18 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
+def _chip_record(args) -> tuple[EnrollmentRecord, WatermarkLayout]:
+    """The enrollment record of ``--chip`` and the payload layout for its
+    maps. A record file that enrolls another chip_id is rejected: its maps
+    are not the named chip's."""
+    path = enrollment_path(args.db_dir, args.chip)
+    record = load_enrollment(path)
+    if record.chip_id != args.chip:
+        raise CliError(f"{path} enrolls chip_id {record.chip_id!r}, not --chip {args.chip!r}")
+    return record, WatermarkLayout(grid_dim=args.grid_dim,
+                                   puf_dim=record.fingerprint.bits.shape[0])
+
+
 # --- commands ----------------------------------------------------------------
 
 def cmd_chip_new(args) -> int:
@@ -89,9 +102,8 @@ def cmd_chip_enroll(args) -> int:
 
 
 def cmd_mark(args) -> int:
-    record = load_enrollment(enrollment_path(args.db_dir, args.chip))
+    record, layout = _chip_record(args)
     features = FeatureConfig(overlap=args.overlap)
-    layout = WatermarkLayout(grid_dim=args.grid_dim, puf_dim=record.fingerprint.bits.shape[0])
     img = read_pgm(args.image)
     wm = generate_watermark(img, record, features, layout, response_map=args.response_map)
     # read_pgm's array is ours alone: mark it in place. The pixels the
@@ -197,9 +209,8 @@ def cmd_experiment_source_id(args) -> int:
 
 
 def cmd_experiment_tamper(args) -> int:
-    record = load_enrollment(enrollment_path(args.db_dir, args.chip))
+    record, layout = _chip_record(args)
     features = FeatureConfig(overlap=args.overlap)
-    layout = WatermarkLayout(grid_dim=args.grid_dim, puf_dim=record.fingerprint.bits.shape[0])
     out_dir = Path(args.out_dir)
     rows = []
     for image_path in args.images:
@@ -235,10 +246,8 @@ def cmd_experiment_tamper(args) -> int:
 
 
 def cmd_experiment_robustness(args) -> int:
-    record = load_enrollment(enrollment_path(args.db_dir, args.chip))
+    record, layout = _chip_record(args)
     img = read_pgm(args.image)
-    layout = WatermarkLayout(grid_dim=args.grid_dim,
-                             puf_dim=record.fingerprint.bits.shape[0])
     table = robustness_sweep(img, record, _float_list(args.sigmas),
                              _float_list(args.overlaps),
                              _int_list(args.noise_seeds), layout)

@@ -197,10 +197,11 @@ def acquire_dcm(chip: ChipModel, cfg: AcquisitionConfig) -> np.ndarray:
 def read_bytes(path: str | Path) -> bytes:
     """A file's bytes. os.read costs a third of ``open(path, "rb").read()``
     on a small record, and a read of a regular file returns less than it
-    asked for only at the end, so a record under 64 KiB takes one read. An
-    error names the path, as open's would."""
+    asked for only at the end, so a record under 64 KiB takes one read. The
+    open does not block, so a FIFO with no writer reads as empty instead of
+    hanging. An error names the path, as open's would."""
     path = os.fspath(path)
-    fd = os.open(path, os.O_RDONLY)
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
         chunks = [os.read(fd, 1 << 16)]
         while len(chunks[-1]) == 1 << 16:
@@ -237,29 +238,21 @@ def json_record(path: str | Path, data: bytes | None = None):
     return field
 
 
-def write_atomic(path: str | Path, *chunks) -> None:
-    """Replace ``path`` with the bytes-like ``chunks``, one after the other,
-    through a temporary file in the same directory and ``os.replace``: a
-    reader, or a writer killed midway, sees the old file or the new one,
-    never a part. On failure the temporary file is removed and the error
-    raised."""
-    path = Path(path)
+def save_json_record(path: Path, payload: dict) -> Path:
+    """Write a record as indented JSON with sorted keys, through a temporary
+    file in the same directory and ``os.replace``: a reader, or a writer
+    killed midway, sees the old record or the new one, never a part. On
+    failure the temporary file is removed and the error raised."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")
     f = open(tmp, "xb")
     try:
         with f:
-            for chunk in chunks:
-                f.write(chunk)
+            f.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def save_json_record(path: Path, payload: dict) -> Path:
-    """Write a record as indented JSON with sorted keys, atomically."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
     return path
 
 

@@ -17,15 +17,10 @@ as one array, plane 0 horizontal and plane 1 vertical.
 An enrollment database is a directory of ``*.enroll.json`` records, one per
 chip_id; ``load_enrollment_db`` rejects a duplicate. In memory it is what
 source identification needs: the chip_ids, map sides and packed
-fingerprints as one matrix, plus each record's path. A record's maps are
-read from its file only when the record itself is asked for. The directory
-also holds a derived index, ``.enroll-index``: the sorted SHA-256 digests of
-the record files whose chip_id, map side and fingerprint can be read back
-from their bytes without a JSON parse, so a load parses only the records
-that changed since the last one. The index holds no field, so no damage to
-it alone can name, hide or rename a chip; the records stay the source of
-truth. It is safe to delete, and is not written where the directory is
-read-only.
+fingerprints as one matrix, plus each record's path. A load reads every
+record file once; a record's maps are parsed from its file only when the
+record itself is asked for. The directory holds nothing else of the
+database: the record files are the whole of it, and a load writes nothing.
 """
 
 from __future__ import annotations
@@ -33,14 +28,13 @@ from __future__ import annotations
 import binascii
 import os
 from collections.abc import Iterable, Iterator
-from contextlib import suppress
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .imager import (AcquisitionConfig, ChipModel, acquire_dcm, json_record, read_bytes,
-                     save_json_record, write_atomic)
+                     save_json_record)
 
 
 @dataclass
@@ -198,11 +192,6 @@ def hex_to_bits(hexstr: str, n_bits: int) -> np.ndarray:
 
 MAPS = ("rdcm_h", "rdcm_v", "fingerprint")
 
-# A database directory's derived index: the sorted 32-byte SHA-256 digests of
-# the record files ``_scan_fields`` can read. The name does not end in
-# ".enroll.json", so the index is never a record.
-INDEX_NAME = ".enroll-index"
-
 Row = tuple[str, int, bytes]     # chip_id, map side, packed fingerprint
 
 
@@ -214,9 +203,9 @@ class EnrollmentDB:
     ``fingerprints`` is one (N, W) uint8 matrix, row i the packed
     fingerprint of the i-th chip, zero-filled to the widest row's W bytes;
     ``dims`` holds each map side and ``paths`` each record file. Iterating or
-    ``record`` parses a record from its file; a file that no longer gives
-    the chip_id, map side and fingerprint of its row raises ValueError
-    naming it, so a stale or forged row can never name a source.
+    ``record`` parses a record from its file in full; a file that no longer
+    gives the chip_id, map side and fingerprint of its row raises ValueError
+    naming it, so a record changed since the load can never name a source.
     """
 
     def __init__(self, rows: Iterable[tuple[str, int, bytes, str]]):
@@ -245,7 +234,7 @@ class EnrollmentDB:
                 or record.fingerprint.ljust(self.fingerprints.shape[1], b"\0")
                 != self.fingerprints[i].tobytes()):
             raise ValueError(f"{path}: record does not match the database row of chip_id "
-                             f"{chip_id!r} (changed since loading, or a bad {INDEX_NAME})")
+                             f"{chip_id!r} (changed since loading)")
         return record.unpack()
 
 
@@ -290,13 +279,20 @@ def load_enrollment(path: str | Path) -> EnrollmentRecord:
 
 
 def _scan_fields(data: bytes) -> Row | None:
-    """A record file's chip_id, map side and packed fingerprint, read from the
-    three lines save_enrollment writes for them (adjacent, as its keys are
-    sorted) without parsing the file; None, never an error, for a file not
-    written that way. The chip_id holds no backslash, and the fingerprint is
-    exactly the hex of ceil(side^2 / 8) bytes, so the file's size bounds
-    every value. Nothing else of the file is read: a caller checks the row
-    against a parse before it trusts the scan of those bytes."""
+    """A record file's chip_id, map side and packed fingerprint, read without
+    a JSON parse from the lines save_enrollment writes last (its keys are
+    sorted): array_dim, chip_id, fingerprint, rdcm_h and rdcm_v, the three
+    maps of one length, then the closing brace and the end of the file.
+    None, never an error, for a file that does not end so: a backslash
+    after the array_dim line, a fingerprint other than the hex of
+    ceil(side^2 / 8) bytes with the padding bits clear, or anything after
+    the brace.
+
+    Where JSON reads the file, these are the last keys of its top-level
+    object: a raw newline is never inside a string, and nothing after the
+    array_dim line opens or closes a bracket. So a parse that succeeds
+    gives exactly the scanned row; a scanned file can still fail the parse
+    in a field the scan does not read, such as the acquisition or a map."""
     at = data.find(b'\n  "array_dim": ') + 16
     comma = data.find(b",", at, at + 10)                # a side of at most 9 digits
     dim = data[at:comma]
@@ -304,64 +300,49 @@ def _scan_fields(data: bytes) -> Row | None:
         return None
     end = data.find(b'"', comma + 16)                   # closes the chip_id
     chip_id, side = data[comma + 16:end], int(dim)
-    hex_end = end + 21 + 2 * -(-side * side // 8)
-    if (b"\\" in chip_id or not data.startswith(b'",\n  "fingerprint": "', end)
-            or not data.startswith(b'"', hex_end)):
+    n = 2 * -(-side * side // 8)                        # hex digits of one map
+    tail = data[end + 21 + n:]                          # from the fingerprint's closing quote
+    if (data.find(b"\\", at) >= 0 or tail.count(b'"') != 9
+            or not data.startswith(b'",\n  "fingerprint": "', end)
+            or tail != b'",\n  "rdcm_h": "%s",\n  "rdcm_v": "%s"\n}\n' % (
+                tail[16:16 + n], tail[32 + n:32 + 2 * n])):
         return None
     try:    # binascii decodes the bytes, not a str: a third of hex_to_packed's cost
-        return chip_id.decode(), side, binascii.a2b_hex(data[end + 21:hex_end])
+        row = chip_id.decode(), side, binascii.a2b_hex(data[end + 21:end + 21 + n])
     except ValueError:
         return None
+    if n and row[2][-1] & (1 << -side * side % 8) - 1:    # a padding bit set
+        return None
+    return row
 
 
 def load_enrollment_db(db_dir: str | Path) -> EnrollmentDB:
-    """Every ``*.enroll.json`` record in a directory, each checked as
-    ``load_enrollment`` checks it. A missing directory raises OSError. Two
-    files with one chip_id raise ValueError naming both: verify names its
-    source by chip_id, so it could not tell which record's maps to query.
+    """Every ``*.enroll.json`` record in a directory. A missing directory
+    raises OSError. Two files with one chip_id raise ValueError naming both:
+    verify names its source by chip_id, so it could not tell which record's
+    maps to query.
 
-    Every file is read in full. One whose SHA-256 is in the directory's
-    ``INDEX_NAME`` gets its row from ``_scan_fields`` instead of a parse; the
-    key is the content, so an edited, renamed, added or removed record is
-    never served stale. A digest is added only for a file that parsed in
-    full and scans to the same row, so a damaged, stale or foreign index
-    costs parses, never a wrong row. Only a digest planted by hand for a
-    file written otherwise can skip its checks or give it a row its JSON
-    does not hold; ``EnrollmentDB.record`` re-parses the record a verdict
-    names and rejects such a row. The index is rewritten, sorted and
-    atomically, only when the set of digests it should hold changed, and
-    silently not where it cannot be written.
+    Each file is read once. One that ``_scan_fields`` reads gives its row
+    from those lines; every other file is parsed and checked as
+    ``load_enrollment`` checks it, a malformed one raising ValueError naming
+    the file (and the field). A scanned file's acquisition and maps are
+    checked by ``EnrollmentDB.record``, so a bad one fails only the runs
+    that read that record. Nothing is written.
     """
-    import hashlib      # loads OpenSSL's libcrypto, ~3.7 MB resident: only loads need it
-
-    index_path = os.path.join(db_dir, INDEX_NAME)
-    try:
-        index = read_bytes(index_path)
-    except OSError:
-        index = b""
-    known = {index[at:at + 32] for at in range(0, len(index) - 31, 32)}
     paths: dict[str, str] = {}
-    rows, fresh = [], set()
+    rows = []
     prefix = os.path.join(db_dir, "")   # prefix + name is os.path.join(db_dir, name)
     for name in sorted(os.listdir(db_dir)):
         if not name.endswith(".enroll.json"):
             continue
         path = prefix + name
         data = read_bytes(path)
-        digest = hashlib.sha256(data).digest()
-        row = _scan_fields(data) if digest in known else None
+        row = _scan_fields(data)
         if row is None:
             record = _read_record(path, data)
             row = (record.chip_id, record.dim, record.fingerprint)
-            if _scan_fields(data) == row:
-                fresh.add(digest)
-        else:
-            fresh.add(digest)
         if row[0] in paths:
             raise ValueError(f"{paths[row[0]]} and {path} both enroll chip_id {row[0]!r}")
         paths[row[0]] = path
         rows.append((*row, path))
-    if fresh != known:
-        with suppress(OSError):
-            write_atomic(index_path, b"".join(sorted(fresh)))
     return EnrollmentDB(rows)

@@ -16,7 +16,6 @@ import spadmark
 from spadmark import (AUTHENTIC, FeatureConfig, embed_lsb, generate_watermark, load_enrollment,
                       load_watermark, psnr, read_pgm, write_pgm)
 from spadmark.cli import build_parser, main
-from spadmark.puf import INDEX_NAME
 from conftest import make_image, traced_peak_bytes
 
 
@@ -155,7 +154,8 @@ def test_verify_unknown_source_exit_code(tmp_path):
      "field 'acquisition'"),
     (lambda rec: [rec], "expected a JSON object"),
     (lambda rec: b"{not json", "invalid JSON"),
-    # map fields are checked in full although the record is never matched
+    # these files are compact JSON, not save_enrollment's layout, so the
+    # load parses them: map fields are checked although no image matches them
     (lambda rec: {**rec, "rdcm_v": rec["rdcm_v"][:-2]}, "field 'rdcm_v': hex string holds"),
     (lambda rec: {**rec, "rdcm_h": "zz" + rec["rdcm_h"][2:]}, "field 'rdcm_h': non-hexadecimal"),
 ])
@@ -283,52 +283,110 @@ def _npy_bytes(table) -> bytes:
     return buffer.getvalue()
 
 
-@pytest.mark.parametrize("damage", [
-    lambda path: path.write_bytes(b"\x93NUMPY\x01\x00" + bytes(range(256)) * 4),
-    lambda path: path.write_bytes(path.read_bytes()[:50]),
-    lambda path: path.write_bytes(_npy_bytes(np.arange(6))),
-], ids=["garbage", "truncated", "other-layout"])
-def test_verify_gives_the_same_verdict_whatever_the_index(tmp_path, damage):
-    db, marked, out = _marked(tmp_path)
-    cold = _verified(db, marked, out)
-    assert cold[0] == 0 and (db / INDEX_NAME).is_file()
-    assert _verified(db, marked, out) == cold
-    damage(db / INDEX_NAME)
-    assert _verified(db, marked, out) == cold
-    assert _verified(db, marked, out) == cold
+def _old_index(db) -> bytes:
+    """The .enroll-index an older version kept: the sorted SHA-256 digests
+    of the record files."""
+    return b"".join(sorted(hashlib.sha256(path.read_bytes()).digest()
+                           for path in db.glob("*.enroll.json")))
 
 
-def test_verify_rejects_a_planted_digest(tmp_path, capsys):
-    # chip1's record with a later "chip_id" key: JSON reads chip9, its lines
-    # chip1. Loads never index it; its digest planted by hand gives the scan
-    # chip1's row, which the record the verdict names rejects, on every run.
+@pytest.mark.parametrize("leftover", [
+    lambda db: b"\x93NUMPY\x01\x00" + bytes(range(256)) * 4,
+    lambda db: _old_index(db)[:50],
+    lambda db: _npy_bytes(np.arange(6)),
+    _old_index,
+], ids=["garbage", "truncated", "other-layout", "digests"])
+def test_verify_gives_the_same_verdict_whatever_the_index(tmp_path, leftover):
+    # index files an older version left in --db-dir are never read
     db, marked, out = _marked(tmp_path)
-    crafted = db / "chip1.enroll.json"
-    crafted.write_bytes(crafted.read_bytes()[:-3] + b',\n  "chip_id": "chip9"\n}\n')
+    expected = _verified(db, marked, out)
+    assert expected[0] == 0
+    data = leftover(db)
+    for name in (".enroll-index", ".enroll-index.npy"):
+        (db / name).write_bytes(data)
+    assert _verified(db, marked, out) == expected
+    for name in (".enroll-index", ".enroll-index.npy"):
+        assert (db / name).read_bytes() == data
+
+
+def test_verify_writes_nothing_into_the_db_dir(tmp_path):
+    # unlike test_verify_read_only_db_dir, this runs as root too
+    db, marked, out = _marked(tmp_path)
+    before = {path.name: path.read_bytes() for path in db.iterdir()}
+    doctored = read_pgm(marked)
+    doctored[300:330, 100:130] ^= 0x40
+    write_pgm(doctored, out / "doctored.pgm")
     assert _verified(db, marked, out)[0] == 0
-    assert (out / "scene.marked.verify.csv").read_text().split(",")[-3] == "chip9"
-    assert (db / INDEX_NAME).read_bytes() == b"".join(sorted(
-        hashlib.sha256((db / f"chip{i}.enroll.json").read_bytes()).digest() for i in (2, 3)))
-    (db / INDEX_NAME).write_bytes(hashlib.sha256(crafted.read_bytes()).digest())
-    for _ in range(2):
-        capsys.readouterr()
-        assert main(["--db-dir", str(db), "verify", str(marked), "--out-dir", str(out)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"wm: error: {crafted}: ") and "'chip1'" in err[0]
+    assert _verified(db, out / "doctored.pgm", out)[0] == 2
+    assert {path.name: path.read_bytes() for path in db.iterdir()} == before
 
 
-def test_verify_when_the_index_cannot_be_written(tmp_path, monkeypatch):
-    db, marked, out = _marked(tmp_path)
-    names = sorted(os.listdir(db))
+def _non_hex_rdcm_v(text: str) -> str:
+    at = text.index('"rdcm_v": "') + 11
+    return text[:at] + "zz" + text[at + 2:]
 
-    def refuse(*args):
-        raise PermissionError(13, "Permission denied")
-    monkeypatch.setattr(os, "replace", refuse)
-    unwritten = [_verified(db, marked, out) for _ in range(2)]
-    assert sorted(os.listdir(db)) == names          # no index, no temporary file
-    monkeypatch.undo()
-    assert unwritten == [_verified(db, marked, out)] * 2
-    assert sorted(os.listdir(db)) == sorted(names + [INDEX_NAME])
+
+@pytest.mark.parametrize("field, edit", [
+    ("rdcm_v", _non_hex_rdcm_v),
+    ("acquisition", lambda text: text.replace('"exposure": 0.1,', '"exposure": -1,', 1)),
+], ids=["non-hex-rdcm_v", "negative-exposure"])
+def test_malformed_record_fails_only_its_own_chip(tmp_path, capsys, field, edit):
+    # a record in save_enrollment's layout gives its row from its own lines;
+    # a bad map or acquisition fails the verify that reads its maps only
+    db = _setup_db(tmp_path, n_chips=2)
+    write_pgm(make_image(0), tmp_path / "scene.pgm")
+    marked = {}
+    for chip in ("chip1", "chip2"):
+        out = tmp_path / chip
+        assert main(["--db-dir", str(db), "mark", str(tmp_path / "scene.pgm"), "--chip", chip,
+                     "--out-dir", str(out)]) == 0
+        marked[chip] = out / "scene.marked.pgm"
+    bad = db / "chip2.enroll.json"
+    text = bad.read_text()
+    assert edit(text) != text
+    bad.write_text(edit(text))
+    assert main(["--db-dir", str(db), "verify", str(marked["chip1"])]) == 0
+    capsys.readouterr()
+    assert main(["--db-dir", str(db), "verify", str(marked["chip2"])]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"wm: error: {bad}: field {field!r}: ")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_verify_reports_a_fifo_record(tmp_path):
+    # a FIFO with no writer reads as empty, not forever
+    db = _setup_db(tmp_path, n_chips=1)
+    write_pgm(make_image(0), tmp_path / "scene.pgm")
+    assert main(["--db-dir", str(db), "mark", str(tmp_path / "scene.pgm"), "--chip", "chip1",
+                 "--out-dir", str(tmp_path)]) == 0
+    fifo = db / "x.enroll.json"
+    os.mkfifo(fifo)
+    env = dict(os.environ, PYTHONPATH=str(Path(spadmark.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "spadmark.cli", "--db-dir", str(db),
+                           "verify", str(tmp_path / "scene.marked.pgm")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"wm: error: {fifo}: invalid JSON: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["mark", "scene.pgm", "--out-dir", "out"],
+    ["experiment", "tamper", "--images", "scene.pgm", "--out-dir", "out"],
+    ["experiment", "robustness", "--image", "scene.pgm", "--out-dir", "out"],
+], ids=["mark", "tamper", "robustness"])
+def test_chip_record_must_enroll_that_chip(tmp_path, monkeypatch, capsys, command):
+    # a copied record of chip2 named for chip1 would mark with chip2's maps
+    db = _setup_db(tmp_path, n_chips=2)
+    shutil.copyfile(db / "chip2.enroll.json", db / "chip1.enroll.json")
+    monkeypatch.chdir(tmp_path)
+    write_pgm(make_image(0), tmp_path / "scene.pgm")
+    capsys.readouterr()
+    assert main(["--db-dir", str(db), *command, "--chip", "chip1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"wm: error: {db / 'chip1.enroll.json'} enrolls chip_id 'chip2', "
+                   f"not --chip 'chip1'"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.skipif(os.geteuid() == 0, reason="root writes into read-only directories")
@@ -625,8 +683,6 @@ def test_consecutive_calls_parse_independently(tmp_path):
 
 # SHA-256 of every file the workspace below holds after its commands ran.
 GOLDEN_SHA256 = {
-    "db/.enroll-index":
-        "1a9e2a73be2434fe911415cdc888c20c8ef1f853d5e7f8f6b1af4d5a77c0a02a",
     "db/chip1.chip.json":
         "00e06369928d5afde85bad9a94680a165b50898e24c8d149932c5fa3c1ef5f2e",
     "db/chip1.enroll.json":

@@ -8,7 +8,6 @@ import tempfile
 import tracemalloc
 from contextlib import suppress
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from spadmark import (AcquisitionConfig, ChipParams,
                       hamming_frac, load_enrollment, load_enrollment_db,
                       new_chip, puf_query, rdcm, save_chip, save_enrollment)
 from spadmark import imager, puf
-from spadmark.puf import INDEX_NAME, EnrollmentRecord, bits_to_hex, hex_to_bits
+from spadmark.puf import EnrollmentRecord, bits_to_hex, hex_to_bits
 from conftest import FUZZ, fuzzed_json
 
 _read_record = puf._read_record     # unpatched, for the reference loader
@@ -261,7 +260,7 @@ def test_load_enrollment_returns_or_raises_value_error(tmp_path, raw):
         load_enrollment(path)
 
 
-# --- record writes and the enrollment index ------------------------------------
+# --- record writes and the enrollment database ---------------------------------
 
 class _FailingWrite:
     """A file whose write stores the first half of the data, then fails."""
@@ -307,9 +306,14 @@ def test_record_write_that_fails_leaves_the_old_record(tmp_path, monkeypatch, ch
     assert save(2).read_bytes() != old
 
 
+# The digest index older versions kept in a database directory; no load
+# reads it now, and a leftover one must change nothing.
+INDEX = ".enroll-index"
+
+
 def _record_bytes(chip_id: str, dim: int, seed: int, compact: bool) -> bytes:
     """A valid record file; ``compact`` JSON is not written as save_enrollment
-    writes it, so its fingerprint text never matches an index row."""
+    writes it, so a load must parse it."""
     h, v = np.random.default_rng(seed).integers(0, 2, (2, dim, dim), dtype=np.uint8)
     payload = {"chip_id": chip_id, "array_dim": dim,
                "acquisition": asdict(AcquisitionConfig(rng_seed=seed)),
@@ -325,8 +329,8 @@ def _flipped(hexstr: str) -> str:
 
 
 def _full_parse(db_dir):
-    """What load_enrollment_db gave before the index: every record parsed, in
-    file-name order, a repeated chip_id rejected naming both files."""
+    """The database of every record parsed, in file-name order, a repeated
+    chip_id rejected naming both files."""
     records, paths = [], {}
     for name in sorted(os.listdir(db_dir)):
         if name.endswith(".enroll.json"):
@@ -341,7 +345,7 @@ def _full_parse(db_dir):
     width = max((len(r.fingerprint) for r in records), default=0)
     return ([r.chip_id for r in records], [r.dim for r in records],
             (len(records), width), b"".join(r.fingerprint.ljust(width, b"\0") for r in records),
-            {r.chip_id: r.unpack() for r in records})
+            [paths[r.chip_id] for r in records], {r.chip_id: r.unpack() for r in records})
 
 
 def _loaded(db_dir, parses=None):
@@ -352,18 +356,18 @@ def _loaded(db_dir, parses=None):
             m.setattr(puf, "_read_record", parses)
         db = load_enrollment_db(db_dir)
     return (db.chip_ids, db.dims.tolist(), db.fingerprints.shape, db.fingerprints.tobytes(),
-            {chip_id: db.record(chip_id) for chip_id in db.chip_ids})
+            db.paths, {chip_id: db.record(chip_id) for chip_id in db.chip_ids})
 
 
 def _outcome(loader, db_dir):
     """A database as comparable values, or the one-line error it raised."""
     try:
-        chip_ids, dims, shape, fingerprints, records = loader(db_dir)
+        *fields, records = loader(db_dir)
     except (OSError, ValueError) as exc:
         return type(exc), str(exc)
     maps = {chip_id: (r.rdcm_h.tobytes(), r.rdcm_v.tobytes(), r.fingerprint.bits.tobytes(),
                       r.rdcm_h.shape, r.enrollment_cfg) for chip_id, r in records.items()}
-    return chip_ids, dims, shape, fingerprints, maps
+    return *fields, maps
 
 
 class _CountParses:
@@ -377,7 +381,7 @@ class _CountParses:
 
 def _written_as_saved(data: bytes) -> bool:
     """Whether a record file is what save_enrollment writes for its JSON,
-    with a chip_id that JSON does not escape: files an index must hold."""
+    with a chip_id that JSON does not escape: files a load must not parse."""
     try:
         payload = json.loads(data)
     except ValueError:
@@ -386,8 +390,8 @@ def _written_as_saved(data: bytes) -> bool:
             and (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode() == data)
 
 
-def _unindexable(db_dir) -> int:
-    """How many records no index can stand for."""
+def _unscannable(db_dir) -> int:
+    """How many records a load must parse."""
     count = 0
     for name in os.listdir(db_dir):
         if name.endswith(".enroll.json"):
@@ -407,7 +411,7 @@ EDITS = st.tuples(st.sampled_from(["rewrite", "rename", "delete", "add", "copy",
 
 def _edit(db_dir, edit, serial):
     op, pick, record = edit
-    names = sorted(n for n in os.listdir(db_dir) if n != INDEX_NAME)
+    names = sorted(os.listdir(db_dir))
     new = os.path.join(db_dir, f"n{serial}.enroll.json")
     if op == "add" or not names:
         with open(new, "wb") as f:
@@ -443,10 +447,9 @@ def _edit(db_dir, edit, serial):
 
 @FUZZ
 @given(initial=st.lists(RECORDS, max_size=4), edits=st.lists(EDITS, max_size=4))
-def test_index_load_equals_full_parse(tmp_path, initial, edits):
-    # A stale index (the previous state's), a warm one and none must all give
-    # the full parse's database or its error, and a warm load parses only the
-    # records an index cannot hold.
+def test_load_equals_full_parse(tmp_path, initial, edits):
+    # after every edit the load gives the full parse's database or its
+    # error, and parses only the records the scan cannot read
     with tempfile.TemporaryDirectory(dir=tmp_path) as db_dir:
         for i, record in enumerate(initial):
             _edit(db_dir, ("add", 0, record), f"i{i}")
@@ -454,14 +457,10 @@ def test_index_load_equals_full_parse(tmp_path, initial, edits):
             if edit:
                 _edit(db_dir, edit, serial)
             expected = _outcome(_full_parse, db_dir)
-            assert _outcome(_loaded, db_dir) == expected
             parses = _CountParses()
             assert _outcome(lambda d: _loaded(d, parses), db_dir) == expected
             if not isinstance(expected[0], type):
-                assert parses.n == _unindexable(db_dir)
-            with suppress(FileNotFoundError):
-                os.unlink(os.path.join(db_dir, INDEX_NAME))
-            assert _outcome(_loaded, db_dir) == expected
+                assert parses.n == _unscannable(db_dir)
 
 
 def test_record_checks_its_file_against_the_row(tmp_path):
@@ -492,6 +491,14 @@ def _text(*lines: bytes) -> bytes:
     return b"{\n  " + b",\n  ".join(lines) + b"\n}\n"
 
 
+def _in_map(text: str) -> bytes:
+    """A saved record of side 9 whose rdcm_h hex starts with ``text``, the
+    line keeping its length."""
+    data = _record_bytes("c0", 9, 0, False)
+    hexstr = json.loads(data)["rdcm_h"]
+    return data.replace(hexstr.encode(), (text + hexstr[len(text):]).encode(), 1)
+
+
 @pytest.mark.parametrize("data", [
     _SAVED.replace(b'"chip_id": "c0"', b'"chip_id": "c\\u0030"'),
     _SAVED.replace(b'"chip_id": "c0"', b'"chip_id": "c0", "zz": "c1"'),
@@ -507,14 +514,16 @@ def _text(*lines: bytes) -> bytes:
     _SAVED.replace(b'"array_dim": 3', b'"array_dim": ' + b"9" * 30),
     _SAVED.replace(b'"array_dim": 3', b'"array_dim": ' + b"1" * 5000),
     _record_bytes("c0", 3, 0, True),
+    _SAVED[:-3] + b'00"\n}\n',
+    _SAVED + b" ",
+    _in_map('", "chip_id": "c1'),
 ], ids=["escaped-chip_id", "quote-in-chip_id", "key-in-place-of-chip_id",
         "key-in-place-of-fingerprint", "long-fingerprint", "non-hex-fingerprint",
         "non-utf8-chip_id", "no-array_dim-line", "float-array_dim", "30-digit-array_dim",
-        "5000-digit-array_dim", "compact"])
+        "5000-digit-array_dim", "compact", "long-rdcm_v", "byte-after-brace", "key-in-map"])
 def test_scan_reads_only_the_lines_save_enrollment_writes(tmp_path, data):
     assert puf._scan_fields(data) is None
     (tmp_path / "c.enroll.json").write_bytes(data)
-    (tmp_path / INDEX_NAME).write_bytes(hashlib.sha256(data).digest())
     assert _outcome(_loaded, tmp_path) == _outcome(_full_parse, tmp_path)
 
 
@@ -534,21 +543,15 @@ def _nested() -> bytes:
 ], ids=["later-chip_id", "later-escaped-key", "later-fingerprint", "later-array_dim", "nested",
         "padding-bit-set"])
 def test_planted_digest_of_a_misread_record(tmp_path, data):
-    # the lines are save_enrollment's, but JSON reads another row: the load
-    # never adds such a digest, and one planted by hand gives the scan's row,
-    # which the record it names rejects, naming the file
+    # save_enrollment's lines, but JSON reads another row: the scan gives
+    # None, so the load parses the file. The digest of it planted in an
+    # older version's index, which that version trusted, changes nothing.
     path = tmp_path / "c.enroll.json"
     path.write_bytes(data)
-    parsed = _read_record(path)
-    assert puf._scan_fields(data) != (parsed.chip_id, parsed.dim, parsed.fingerprint)
+    _read_record(path)
+    assert puf._scan_fields(data) is None
+    (tmp_path / INDEX).write_bytes(hashlib.sha256(data).digest())
     assert _outcome(_loaded, tmp_path) == _outcome(_full_parse, tmp_path)
-    assert not (tmp_path / INDEX_NAME).exists()
-    (tmp_path / INDEX_NAME).write_bytes(hashlib.sha256(data).digest())
-    db = load_enrollment_db(tmp_path)
-    assert db.chip_ids == ["c0"]
-    with pytest.raises(ValueError, match="does not match the database row") as exc:
-        db.record("c0")
-    assert str(exc.value).startswith(f"{path}: ")
 
 
 @FUZZ
@@ -567,33 +570,10 @@ def test_scan_fields_gives_the_parsed_row_or_none(at, cut, noise):
         assert len(row[2]) <= len(data)
 
 
-def test_index_parses_only_changed_records(tmp_path, monkeypatch):
-    def save(i, seed):
-        return save_enrollment(enroll(new_chip(f"c{i}", i),
-                                      AcquisitionConfig(n_frames=1, rng_seed=seed)), tmp_path)
-    for i in range(4):
-        save(i, i)
-    cold = load_enrollment_db(tmp_path)
-    index = tmp_path / INDEX_NAME
-    inode = index.stat().st_ino
-    parses = _CountParses()
-    monkeypatch.setattr(puf, "_read_record", parses)
-    warm = load_enrollment_db(tmp_path)
-    assert parses.n == 0 and index.stat().st_ino == inode      # not parsed, not rewritten
-    assert warm.chip_ids == cold.chip_ids and np.array_equal(warm.fingerprints, cold.fingerprints)
-    size = (tmp_path / "c2.enroll.json").stat().st_size
-    path = save(2, 9)       # the same size, other maps
-    assert path.stat().st_size == size
-    changed = load_enrollment_db(tmp_path)
-    assert parses.n == 1 and index.stat().st_ino != inode
-    assert np.array_equal(changed.record("c2").rdcm_h, load_enrollment(path).rdcm_h)
-    assert not np.array_equal(changed.fingerprints[2], cold.fingerprints[2])
-
-
 @pytest.fixture(scope="module")
 def index_bytes():
-    """Three saved records of sides 2, 3 and 5, and the index a load writes
-    for them: their sorted digests."""
+    """Three saved records of sides 2, 3 and 5, and the index an older
+    version wrote for them: their sorted SHA-256 digests."""
     files = {f"c{i}.enroll.json": _record_bytes(f"c{i}", dim, i, False)
              for i, dim in enumerate((2, 3, 5))}
     return files, b"".join(sorted(hashlib.sha256(data).digest() for data in files.values()))
@@ -602,28 +582,11 @@ def index_bytes():
 def _write_db(db_dir, files, index: bytes) -> None:
     for name, data in files.items():
         (db_dir / name).write_bytes(data)
-    (db_dir / INDEX_NAME).write_bytes(index)
+    (db_dir / INDEX).write_bytes(index)
 
 
 def _chunks(data: bytes) -> set[bytes]:
     return {data[at:at + 32] for at in range(0, len(data) - 31, 32)}
-
-
-@FUZZ
-@given(cut=st.integers(0, 120), at=st.integers(0, 120), noise=st.binary(max_size=40))
-def test_index_reader_returns_rows_or_none(tmp_path, index_bytes, cut, at, noise):
-    # cut, overwritten or random index bytes: each record gets its row from a
-    # whole digest left in place or from a parse, never an error, and after
-    # the load the index lists exactly the records' digests
-    files, index = index_bytes
-    for data in (index[:cut], index[:at] + noise + index[at + len(noise):], noise):
-        with tempfile.TemporaryDirectory(dir=tmp_path) as db_dir:
-            _write_db(Path(db_dir), files, data)
-            expected = _outcome(_full_parse, db_dir)
-            parses = _CountParses()
-            assert _outcome(lambda d: _loaded(d, parses), db_dir) == expected
-            assert parses.n == len(files) - len(_chunks(data) & _chunks(index))
-            assert _chunks((Path(db_dir) / INDEX_NAME).read_bytes()) == _chunks(index)
 
 
 @pytest.mark.parametrize("edit", [
@@ -636,16 +599,16 @@ def test_index_reader_returns_rows_or_none(tmp_path, index_bytes, cut, at, noise
     (lambda index: b"".join(hashlib.sha256(d).digest() for d in sorted(_chunks(index))),),
 ])
 def test_index_in_another_layout_counts_as_empty(tmp_path, index_bytes, edit):
-    # an index whose 32-byte chunks are not the records' digests serves no
-    # row: every record is parsed, and the load writes the digest layout
+    # an older version's index in any layout is never read: each saved
+    # record gives its row from its own lines, and the index is left as it is
     files, index = index_bytes
     other = index.replace(*edit, 1) if isinstance(edit[0], bytes) else edit[0](index)
     assert other != index and not _chunks(other) & _chunks(index)
     _write_db(tmp_path, files, other)
     parses = _CountParses()
     assert _outcome(lambda d: _loaded(d, parses), tmp_path) == _outcome(_full_parse, tmp_path)
-    assert parses.n == len(files)
-    assert (tmp_path / INDEX_NAME).read_bytes() == index
+    assert parses.n == 0
+    assert (tmp_path / INDEX).read_bytes() == other
 
 
 def _crafted_bytes(record, key: str, later: bool) -> bytes:
@@ -674,11 +637,10 @@ INDEX_PARTS = st.tuples(st.sampled_from(["file", "other", "cut", "garbage"]), st
 @example(files=[(("c", 2, 0, False), None, False), (("c", 3, 1, False), "chip_id", True)],
          parts=[("garbage", 0, bytes(32)), ("file", 1, b"")])
 def test_any_index_bytes_give_the_full_parse(tmp_path, files, parts):
-    # garbage, digests cut mid-way, repeated, of records not in the directory:
-    # the load gives the full parse's database or its error. Only a planted
-    # digest of a record whose lines disagree with its JSON (a later second
-    # key) changes that, and then the load fails, naming such a record if
-    # the full parse would not fail
+    # whatever an older version's index holds (garbage, digests cut mid-way,
+    # repeated, of records not in the directory, planted for a record whose
+    # lines disagree with its JSON), under either of its names, the load
+    # gives the full parse's database or its error and leaves it as it is
     with tempfile.TemporaryDirectory(dir=tmp_path) as db_dir:
         blobs = [_crafted_bytes(record, key, later) if key else _record_bytes(*record)
                  for record, key, later in files]
@@ -694,25 +656,10 @@ def test_any_index_bytes_give_the_full_parse(tmp_path, files, parts):
             else:
                 digest = hashlib.sha256(blobs[pick % len(blobs)]).digest()
                 index += digest if kind == "file" else digest[:len(noise) % 32]
-        index_path = os.path.join(db_dir, INDEX_NAME)
-        with open(index_path, "wb") as f:
-            f.write(index)
-        expected = _outcome(_full_parse, db_dir)
-        outcome = _outcome(_loaded, db_dir)
-        planted = {index[at:at + 32] for at in range(0, len(index) - 31, 32)}
-        misread = [f"r{i}.enroll.json" for i, (data, (_, key, later)) in enumerate(zip(blobs, files))
-                   if key and later and hashlib.sha256(data).digest() in planted]
-        if outcome != expected:
-            assert misread and isinstance(outcome[0], type)
-            assert isinstance(expected[0], type) or any(name in outcome[1] for name in misread)
-        if not isinstance(outcome[0], type):
-            # digests of files present, every saved one among them
-            with open(index_path, "rb") as f:
-                held = f.read()
-            digests = {held[at:at + 32] for at in range(0, len(held) - 31, 32)}
-            assert digests <= {hashlib.sha256(data).digest() for data in blobs}
-            assert digests >= {hashlib.sha256(data).digest() for data in blobs
-                               if _written_as_saved(data)}
-            parses = _CountParses()
-            assert _outcome(lambda d: _loaded(d, parses), db_dir) == expected
-            assert parses.n == len(blobs) - len(digests)
+        for name in (INDEX, INDEX + ".npy"):
+            with open(os.path.join(db_dir, name), "wb") as f:
+                f.write(index)
+        assert _outcome(_loaded, db_dir) == _outcome(_full_parse, db_dir)
+        for name in (INDEX, INDEX + ".npy"):
+            with open(os.path.join(db_dir, name), "rb") as f:
+                assert f.read() == index
