@@ -105,7 +105,7 @@ def cmd_mark(args) -> int:
     record, layout = _chip_record(args)
     features = FeatureConfig(overlap=args.overlap)
     img = read_pgm(args.image)
-    wm = generate_watermark(img, record, features, layout, response_map=args.response_map)
+    wm = generate_watermark(img, record, features, layout)
     # read_pgm's array is ours alone: mark it in place. The pixels the
     # payload changes differ by exactly 1, so the changed LSBs are the
     # squared error that psnr(img, marked) would sum over the whole host.
@@ -130,8 +130,7 @@ def cmd_verify(args) -> int:
     thresholds = Thresholds(tau_fingerprint=args.tau_fingerprint,
                             tau_challenge=args.tau_challenge,
                             tau_response=args.tau_response)
-    report = verify(img, db, features, layout, thresholds,
-                    response_map=args.response_map)
+    report = verify(img, db, features, layout, thresholds)
 
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.image).parent
     stem = Path(args.image).stem
@@ -308,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image")
     p.add_argument("--chip", required=True)
     p.add_argument("--out-dir", default=None, help="default: alongside the image")
-    p.add_argument("--response-map", choices=["h", "v", "both"], default="both")
     _add_common_feature_flags(p)
     p.set_defaults(func=cmd_mark)
 
@@ -316,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image")
     p.add_argument("--out-dir", default=None, help="default: alongside the image")
     p.add_argument("--puf-dim", type=int, default=WatermarkLayout.puf_dim)
-    p.add_argument("--response-map", choices=["h", "v", "both"], default="both")
     p.add_argument("--tau-fingerprint", type=float, default=Thresholds.tau_fingerprint)
     p.add_argument("--tau-challenge", type=float, default=Thresholds.tau_challenge)
     p.add_argument("--tau-response", type=float, default=Thresholds.tau_response)

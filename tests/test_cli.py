@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -223,6 +225,22 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     exec(blocks[0].split("```")[0], namespace)
     assert namespace["report"].verdict == AUTHENTIC
     assert namespace["report"].fingerprint_best_match[0] == "cam-a"
+
+
+def test_readme_names_only_wm_options():
+    # every --long-flag the README names, outside its pip command lines, is
+    # an option of wm or of one of its subcommands
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = {flag for line in readme.splitlines() if not line.startswith("pip ")
+             for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)}
+    options, parsers = set(), [build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            options.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert {"--db-dir", "--overlap", "--grid-dim"} <= named
+    assert named - options == set()
 
 
 def test_verify_empty_db_dir_is_unknown_source(tmp_path):
@@ -611,6 +629,30 @@ def test_mark_prints_psnr_of_marked_host(tmp_path, capsys):
     assert main(["--db-dir", str(db), "mark", str(tmp_path / "host0.marked.pgm"),
                  "--chip", "chip1"]) == 0
     assert "PSNR inf dB" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["mark", "verify"])
+def test_response_map_is_a_usage_error(tmp_path, capsys, command):
+    # the option is gone: passing it is an unrecognized argument, reported
+    # in one line before any file is read or written
+    db = _setup_db(tmp_path, n_chips=1)
+    img_path = tmp_path / "scene.pgm"
+    write_pgm(make_image(0), img_path)
+    if command == "mark":
+        argv, value = ["mark", str(img_path), "--chip", "chip1"], "h"
+    else:
+        assert main(["--db-dir", str(db), "mark", str(img_path), "--chip", "chip1",
+                     "--out-dir", str(tmp_path / "marked")]) == 0
+        argv, value = ["verify", str(tmp_path / "marked" / "scene.marked.pgm")], "both"
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["--db-dir", str(db), *argv, "--out-dir", str(out),
+                 "--response-map", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"wm: error: unrecognized arguments: --response-map {value}"]
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_mark_rejects_nan_overlap(tmp_path, capsys):
