@@ -14,7 +14,9 @@ bytes, or a stack of such grids; ``puf_query`` splits each byte into a map
 row (high nibble) and column (low nibble) and returns both response planes
 as one array, plane 0 horizontal and plane 1 vertical.
 
-An enrollment database is a directory of ``*.enroll.json`` records, one per
+An enrollment record file holds each map as the hex of its packed bits
+(``bits_to_hex``); ``load_enrollment`` is the one parser of such a file. An
+enrollment database is a directory of ``*.enroll.json`` records, one per
 chip_id; ``load_enrollment_db`` rejects a duplicate. In memory it is what
 source identification needs: the chip_ids, map sides and packed
 fingerprints as one matrix, plus each record's path. A load reads every
@@ -58,35 +60,6 @@ class EnrollmentRecord:
     fingerprint: Fingerprint
     enrollment_cfg: AcquisitionConfig
 
-    def pack(self) -> PackedRecord:
-        return PackedRecord(chip_id=self.chip_id, dim=self.rdcm_h.shape[0],
-                            rdcm_h=pack_bits(self.rdcm_h),
-                            rdcm_v=pack_bits(self.rdcm_v),
-                            fingerprint=pack_bits(self.fingerprint.bits),
-                            enrollment_cfg=self.enrollment_cfg)
-
-
-@dataclass(frozen=True, slots=True)
-class PackedRecord:
-    """An enrollment record as stored: each dim x dim map is ceil(dim^2 / 8)
-    bytes, row-major, MSB first, with the padding bits zero."""
-
-    chip_id: str
-    dim: int
-    rdcm_h: bytes
-    rdcm_v: bytes
-    fingerprint: bytes
-    enrollment_cfg: AcquisitionConfig
-
-    def unpack(self) -> EnrollmentRecord:
-        def bits(packed: bytes) -> np.ndarray:
-            raw = np.frombuffer(packed, dtype=np.uint8)
-            return np.unpackbits(raw, count=self.dim * self.dim).reshape(self.dim, self.dim)
-        return EnrollmentRecord(chip_id=self.chip_id,
-                                rdcm_h=bits(self.rdcm_h), rdcm_v=bits(self.rdcm_v),
-                                fingerprint=Fingerprint(bits=bits(self.fingerprint)),
-                                enrollment_cfg=self.enrollment_cfg)
-
 
 def rdcm(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The horizontal and vertical relative maps of a square count map.
@@ -126,8 +99,7 @@ def enroll(chip: ChipModel, cfg: AcquisitionConfig | None = None) -> EnrollmentR
                             fingerprint=fingerprint(h, v), enrollment_cfg=cfg)
 
 
-def puf_query(record: EnrollmentRecord, challenge: np.ndarray,
-              response_map: str = "both") -> np.ndarray:
+def puf_query(record: EnrollmentRecord, challenge: np.ndarray) -> np.ndarray:
     """Read both relative maps at the challenge's address bytes.
 
     ``challenge`` holds ``features.challenge_matrix`` bytes, a (D, D) grid or a
@@ -135,9 +107,6 @@ def puf_query(record: EnrollmentRecord, challenge: np.ndarray,
     not wrapped, as is any address at or past the array edge. The result is
     one uint8 {0,1} array of shape (2, *challenge.shape): plane 0 is read
     from the horizontal map, plane 1 from the vertical one.
-    ``response_map`` selects which map feeds the two response planes:
-    "both" (default) uses horizontal and vertical, "h"/"v" duplicate a
-    single map into both planes so the serialized layout stays fixed.
     """
     challenge = np.asarray(challenge)
     if challenge.dtype != np.uint8:
@@ -148,14 +117,7 @@ def puf_query(record: EnrollmentRecord, challenge: np.ndarray,
         raise ValueError(
             f"challenge address outside the {dim}x{dim} map window "
             f"(rows up to {int(rows.max())}, columns up to {int(cols.max())})")
-    lookup = {
-        "both": (record.rdcm_h, record.rdcm_v),
-        "h": (record.rdcm_h, record.rdcm_h),
-        "v": (record.rdcm_v, record.rdcm_v),
-    }
-    if response_map not in lookup:
-        raise ValueError(f"response_map must be 'h', 'v' or 'both', got {response_map!r}")
-    return np.array(lookup[response_map], dtype=np.uint8)[:, rows, cols]
+    return np.array((record.rdcm_h, record.rdcm_v), dtype=np.uint8)[:, rows, cols]
 
 
 # --- bit packing ------------------------------------------------------------
@@ -171,26 +133,15 @@ def bits_to_hex(bits: np.ndarray) -> str:
     return pack_bits(bits).hex()
 
 
-def hex_to_packed(hexstr: str, n_bits: int) -> bytes:
-    """The first ``n_bits`` of a hex string, packed into ceil(n_bits / 8)
-    bytes; the padding bits of the last byte are cleared."""
+def hex_to_bits(hexstr: str, n_bits: int) -> np.ndarray:
+    """The first ``n_bits`` of a hex string, as a uint8 {0,1} array."""
     raw = bytes.fromhex(hexstr)
     if 8 * len(raw) < n_bits:
         raise ValueError(f"hex string holds {8 * len(raw)} bits, expected {n_bits}")
-    size, pad = -(-n_bits // 8), -n_bits % 8
-    if pad:
-        return raw[:size - 1] + bytes([raw[size - 1] >> pad << pad])
-    return raw[:size]
-
-
-def hex_to_bits(hexstr: str, n_bits: int) -> np.ndarray:
-    raw = np.frombuffer(hex_to_packed(hexstr, n_bits), dtype=np.uint8)
-    return np.unpackbits(raw, count=n_bits)
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n_bits)
 
 
 # --- enrollment database ----------------------------------------------------
-
-MAPS = ("rdcm_h", "rdcm_v", "fingerprint")
 
 Row = tuple[str, int, bytes]     # chip_id, map side, packed fingerprint
 
@@ -229,13 +180,13 @@ class EnrollmentDB:
     def record(self, chip_id: str) -> EnrollmentRecord:
         i = self._rows[chip_id]
         path = self.paths[i]
-        record = _read_record(path)
-        if (record.chip_id != chip_id or record.dim != self.dims[i]
-                or record.fingerprint.ljust(self.fingerprints.shape[1], b"\0")
+        record = load_enrollment(path)
+        if (record.chip_id != chip_id or record.rdcm_h.shape[0] != self.dims[i]
+                or pack_bits(record.fingerprint.bits).ljust(self.fingerprints.shape[1], b"\0")
                 != self.fingerprints[i].tobytes()):
             raise ValueError(f"{path}: record does not match the database row of chip_id "
                              f"{chip_id!r} (changed since loading)")
-        return record.unpack()
+        return record
 
 
 def enrollment_path(db_dir: str | Path, chip_id: str) -> Path:
@@ -243,39 +194,36 @@ def enrollment_path(db_dir: str | Path, chip_id: str) -> Path:
 
 
 def save_enrollment(record: EnrollmentRecord, db_dir: str | Path) -> Path:
-    packed = record.pack()
     return save_json_record(enrollment_path(db_dir, record.chip_id), {
-        "chip_id": packed.chip_id,
-        "array_dim": packed.dim,
-        "acquisition": asdict(packed.enrollment_cfg),
-        **{key: getattr(packed, key).hex() for key in MAPS},
+        "chip_id": record.chip_id,
+        "array_dim": record.rdcm_h.shape[0],
+        "acquisition": asdict(record.enrollment_cfg),
+        "rdcm_h": bits_to_hex(record.rdcm_h),
+        "rdcm_v": bits_to_hex(record.rdcm_v),
+        "fingerprint": bits_to_hex(record.fingerprint.bits),
     })
 
 
 def _array_dim(value) -> int:
-    # checked here: the maps stay packed, so no reshape would reject it
+    # checked before the maps: a negative side squares to a valid bit count
     dim = int(value)
     if dim < 0:
         raise ValueError(f"must be >= 0, got {dim}")
     return dim
 
 
-def _read_record(path: str | Path, data: bytes | None = None) -> PackedRecord:
-    """Parse and check one record file (its bytes ``data`` if already read),
-    keeping its maps packed; a malformed file or field raises ValueError
-    naming the file (and the field)."""
+def load_enrollment(path: str | Path, data: bytes | None = None) -> EnrollmentRecord:
+    """Parse and check one record file (its bytes ``data`` if already read);
+    a malformed file or field raises ValueError naming the file (and the
+    field)."""
     field = json_record(path, data)
     dim = field("array_dim", _array_dim)
     chip_id = field("chip_id", str)
-    maps = {key: field(key, lambda text: hex_to_packed(text, dim * dim)) for key in MAPS}
+    h, v, fp = [field(key, lambda text: hex_to_bits(text, dim * dim).reshape(dim, dim))
+                for key in ("rdcm_h", "rdcm_v", "fingerprint")]
     cfg = field("acquisition", lambda acquisition: AcquisitionConfig(**acquisition))
-    return PackedRecord(chip_id=chip_id, dim=dim, enrollment_cfg=cfg, **maps)
-
-
-def load_enrollment(path: str | Path) -> EnrollmentRecord:
-    """Parse one record; a malformed file or field raises ValueError naming
-    the file (and the field)."""
-    return _read_record(path).unpack()
+    return EnrollmentRecord(chip_id=chip_id, rdcm_h=h, rdcm_v=v,
+                            fingerprint=Fingerprint(bits=fp), enrollment_cfg=cfg)
 
 
 def _scan_fields(data: bytes) -> Row | None:
@@ -307,7 +255,7 @@ def _scan_fields(data: bytes) -> Row | None:
             or tail != b'",\n  "rdcm_h": "%s",\n  "rdcm_v": "%s"\n}\n' % (
                 tail[16:16 + n], tail[32 + n:32 + 2 * n])):
         return None
-    try:    # binascii decodes the bytes, not a str: a third of hex_to_packed's cost
+    try:    # binascii decodes the bytes, no str: about half of bytes.fromhex's cost
         row = chip_id.decode(), side, binascii.a2b_hex(data[end + 21:end + 21 + n])
     except ValueError:
         return None
@@ -323,11 +271,11 @@ def load_enrollment_db(db_dir: str | Path) -> EnrollmentDB:
     maps to query.
 
     Each file is read once. One that ``_scan_fields`` reads gives its row
-    from those lines; every other file is parsed and checked as
-    ``load_enrollment`` checks it, a malformed one raising ValueError naming
-    the file (and the field). A scanned file's acquisition and maps are
-    checked by ``EnrollmentDB.record``, so a bad one fails only the runs
-    that read that record. Nothing is written.
+    from those lines; every other file is parsed by ``load_enrollment``, a
+    malformed one raising ValueError naming the file (and the field). A
+    scanned file's acquisition and maps are checked by
+    ``EnrollmentDB.record``, so a bad one fails only the runs that read that
+    record. Nothing is written.
     """
     paths: dict[str, str] = {}
     rows = []
@@ -339,8 +287,8 @@ def load_enrollment_db(db_dir: str | Path) -> EnrollmentDB:
         data = read_bytes(path)
         row = _scan_fields(data)
         if row is None:
-            record = _read_record(path, data)
-            row = (record.chip_id, record.dim, record.fingerprint)
+            record = load_enrollment(path, data)
+            row = (record.chip_id, record.rdcm_h.shape[0], pack_bits(record.fingerprint.bits))
         if row[0] in paths:
             raise ValueError(f"{paths[row[0]]} and {path} both enroll chip_id {row[0]!r}")
         paths[row[0]] = path

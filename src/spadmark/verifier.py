@@ -98,14 +98,13 @@ def image_challenge(img: np.ndarray, cfg: FeatureConfig, grid_dim: int) -> np.nd
 
 def generate_watermark(img: np.ndarray, record: EnrollmentRecord,
                        cfg: FeatureConfig | None = None,
-                       layout: WatermarkLayout | None = None,
-                       response_map: str = "both") -> Watermark:
+                       layout: WatermarkLayout | None = None) -> Watermark:
     """Full generation pipeline: image content -> challenge -> responses ->
     serialized watermark with the device fingerprint appended."""
     cfg = cfg or FeatureConfig()
     layout = layout or WatermarkLayout(puf_dim=record.fingerprint.bits.shape[0])
     challenge = image_challenge(img, cfg, layout.grid_dim)
-    response = puf_query(record, challenge, response_map=response_map)
+    response = puf_query(record, challenge)
     return assemble(challenge, response, record.fingerprint, layout)
 
 
@@ -137,8 +136,7 @@ def identify_source(fp: Fingerprint, db: EnrollmentDB,
 def verify(img: np.ndarray, db: EnrollmentDB,
            cfg: FeatureConfig | None = None,
            layout: WatermarkLayout | None = None,
-           thresholds: Thresholds | None = None,
-           response_map: str = "both") -> VerifyReport:
+           thresholds: Thresholds | None = None) -> VerifyReport:
     """Check a marked image against the enrollment database.
 
     Returns unknown-source when no enrolled fingerprint is close enough,
@@ -171,7 +169,7 @@ def verify(img: np.ndarray, db: EnrollmentDB,
                             tamper_cells=tamper_cells)
 
     record = db.record(best[0])
-    expected = puf_query(record, c_img, response_map=response_map)
+    expected = puf_query(record, c_img)
     response_match = 1.0 - hamming_frac(r_emb, expected)
 
     if (challenge_match < 1.0 - thresholds.tau_challenge

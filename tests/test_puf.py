@@ -18,10 +18,10 @@ from spadmark import (AcquisitionConfig, ChipParams,
                       hamming_frac, load_enrollment, load_enrollment_db,
                       new_chip, puf_query, rdcm, save_chip, save_enrollment)
 from spadmark import imager, puf
-from spadmark.puf import EnrollmentRecord, bits_to_hex, hex_to_bits
+from spadmark.puf import EnrollmentRecord, bits_to_hex, hex_to_bits, pack_bits
 from conftest import FUZZ, fuzzed_json
 
-_read_record = puf._read_record     # unpatched, for the reference loader
+_load_enrollment = puf.load_enrollment     # unpatched, for the reference loader
 
 
 def _record(h_bits, v_bits, chip_id="t"):
@@ -164,40 +164,33 @@ def test_puf_query_window_error():
             puf_query(wide, wrong)
 
 
-def test_puf_query_response_map_variants():
-    rec = _record([[1, 0], [0, 0]], [[1, 1], [0, 0]])
-    challenge = np.array([[0x00, 0x01], [0x10, 0x11]], dtype=np.uint8)
-    h_only = puf_query(rec, challenge, response_map="h")
-    assert np.array_equal(h_only[0], h_only[1])
-    assert np.array_equal(h_only[0], rec.rdcm_h)
-    v_only = puf_query(rec, challenge, response_map="v")
-    assert np.array_equal(v_only[0], rec.rdcm_v)
-    with pytest.raises(ValueError):
-        puf_query(rec, challenge, response_map="hv")
-
-
-@pytest.mark.parametrize("response_map", ["h", "v", "both"])
-def test_puf_query_stack_equals_per_grid_queries(response_map):
+def test_puf_query_stack_equals_per_grid_queries():
     rng = np.random.default_rng(12)
     rec = _record(rng.integers(0, 2, (16, 16)), rng.integers(0, 2, (16, 16)))
     stack = rng.integers(0, 256, (5, 8, 8), dtype=np.uint8)
-    response = puf_query(rec, stack, response_map=response_map)
+    response = puf_query(rec, stack)
     assert response.shape == (2, 5, 8, 8) and response.dtype == np.uint8
     for i, grid in enumerate(stack):
-        assert np.array_equal(response[:, i], puf_query(rec, grid, response_map=response_map))
+        assert np.array_equal(response[:, i], puf_query(rec, grid))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 64])
-def test_pack_unpack_round_trip(dim):
+def test_pack_unpack_round_trip(tmp_path, dim):
+    # save_enrollment packs each map into hex, load_enrollment unpacks it;
     # 2^2 = 4, 3^2 = 9 and 5^2 = 25 bits leave padding in the last byte
     rng = np.random.default_rng(dim)
     h = rng.integers(0, 2, (dim, dim), dtype=np.uint8)
     v = rng.integers(0, 2, (dim, dim), dtype=np.uint8)
     record = EnrollmentRecord(chip_id="c", rdcm_h=h, rdcm_v=v, fingerprint=fingerprint(h, v),
                               enrollment_cfg=AcquisitionConfig(rng_seed=3))
-    packed = record.pack()
-    assert len(packed.rdcm_h) == len(packed.rdcm_v) == len(packed.fingerprint) == -(-dim * dim // 8)
-    back = packed.unpack()
+    path = save_enrollment(record, tmp_path)
+    saved = json.loads(path.read_bytes())
+    for key, want in (("rdcm_h", h), ("rdcm_v", v), ("fingerprint", h ^ v)):
+        assert len(saved[key]) == 2 * -(-dim * dim // 8)
+        bits = np.unpackbits(np.frombuffer(bytes.fromhex(saved[key]), dtype=np.uint8))
+        assert np.array_equal(bits[:dim * dim].reshape(dim, dim), want)
+        assert not bits[dim * dim:].any()
+    back = load_enrollment(path)
     assert back.chip_id == "c" and back.enrollment_cfg == record.enrollment_cfg
     for got, want in ((back.rdcm_h, h), (back.rdcm_v, v), (back.fingerprint.bits, h ^ v)):
         assert got.dtype == np.uint8 and np.array_equal(got, want)
@@ -335,25 +328,26 @@ def _full_parse(db_dir):
     for name in sorted(os.listdir(db_dir)):
         if name.endswith(".enroll.json"):
             path = os.path.join(db_dir, name)
-            record = _read_record(path)
+            record = _load_enrollment(path)
             if record.chip_id in paths:
                 raise ValueError(f"{paths[record.chip_id]} and {path} both enroll "
                                  f"chip_id {record.chip_id!r}")
             paths[record.chip_id] = path
             records.append(record)
     records.sort(key=lambda r: r.chip_id)
-    width = max((len(r.fingerprint) for r in records), default=0)
-    return ([r.chip_id for r in records], [r.dim for r in records],
-            (len(records), width), b"".join(r.fingerprint.ljust(width, b"\0") for r in records),
-            [paths[r.chip_id] for r in records], {r.chip_id: r.unpack() for r in records})
+    fingerprints = [pack_bits(r.fingerprint.bits) for r in records]
+    width = max(map(len, fingerprints), default=0)
+    return ([r.chip_id for r in records], [r.rdcm_h.shape[0] for r in records],
+            (len(records), width), b"".join(fp.ljust(width, b"\0") for fp in fingerprints),
+            [paths[r.chip_id] for r in records], {r.chip_id: r for r in records})
 
 
 def _loaded(db_dir, parses=None):
-    """load_enrollment_db's database, its ``_read_record`` calls counted in
-    ``parses`` if given, and every record of it."""
+    """load_enrollment_db's database, its ``load_enrollment`` calls counted
+    in ``parses`` if given, and every record of it."""
     with pytest.MonkeyPatch.context() as m:
         if parses is not None:
-            m.setattr(puf, "_read_record", parses)
+            m.setattr(puf, "load_enrollment", parses)
         db = load_enrollment_db(db_dir)
     return (db.chip_ids, db.dims.tolist(), db.fingerprints.shape, db.fingerprints.tobytes(),
             db.paths, {chip_id: db.record(chip_id) for chip_id in db.chip_ids})
@@ -376,7 +370,7 @@ class _CountParses:
 
     def __call__(self, *args):
         self.n += 1
-        return _read_record(*args)
+        return _load_enrollment(*args)
 
 
 def _written_as_saved(data: bytes) -> bool:
@@ -548,7 +542,7 @@ def test_planted_digest_of_a_misread_record(tmp_path, data):
     # older version's index, which that version trusted, changes nothing.
     path = tmp_path / "c.enroll.json"
     path.write_bytes(data)
-    _read_record(path)
+    _load_enrollment(path)
     assert puf._scan_fields(data) is None
     (tmp_path / INDEX).write_bytes(hashlib.sha256(data).digest())
     assert _outcome(_loaded, tmp_path) == _outcome(_full_parse, tmp_path)
@@ -565,8 +559,9 @@ def test_scan_fields_gives_the_parsed_row_or_none(at, cut, noise):
     row = puf._scan_fields(data)
     if row is not None:
         with suppress(ValueError):
-            record = _read_record("c.enroll.json", data)
-            assert row == (record.chip_id, record.dim, record.fingerprint)
+            record = _load_enrollment("c.enroll.json", data)
+            assert row == (record.chip_id, record.rdcm_h.shape[0],
+                           pack_bits(record.fingerprint.bits))
         assert len(row[2]) <= len(data)
 
 
