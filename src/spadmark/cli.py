@@ -48,24 +48,19 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
     path.write_text("\n".join([header] + rows) + "\n")
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+def _list(text: str, kind: type) -> list:
+    """A comma-separated list of ``kind`` values; empty parts are skipped."""
+    return [kind(part) for part in text.split(",") if part]
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
-
-
-def _chip_record(args) -> tuple[EnrollmentRecord, WatermarkLayout]:
-    """The enrollment record of ``--chip`` and the payload layout for its
-    maps. A record file that enrolls another chip_id is rejected: its maps
-    are not the named chip's."""
+def _chip_record(args) -> EnrollmentRecord:
+    """The enrollment record of ``--chip``. A record file that enrolls
+    another chip_id is rejected: its maps are not the named chip's."""
     path = enrollment_path(args.db_dir, args.chip)
     record = load_enrollment(path)
     if record.chip_id != args.chip:
         raise CliError(f"{path} enrolls chip_id {record.chip_id!r}, not --chip {args.chip!r}")
-    return record, WatermarkLayout(grid_dim=args.grid_dim,
-                                   puf_dim=record.fingerprint.bits.shape[0])
+    return record
 
 
 # --- commands ----------------------------------------------------------------
@@ -102,10 +97,10 @@ def cmd_chip_enroll(args) -> int:
 
 
 def cmd_mark(args) -> int:
-    record, layout = _chip_record(args)
+    record = _chip_record(args)
     features = FeatureConfig(overlap=args.overlap)
     img = read_pgm(args.image)
-    wm = generate_watermark(img, record, features, layout)
+    wm = generate_watermark(img, record, features, args.grid_dim)
     # read_pgm's array is ours alone: mark it in place. The pixels the
     # payload changes differ by exactly 1, so the changed LSBs are the
     # squared error that psnr(img, marked) would sum over the whole host.
@@ -124,13 +119,12 @@ def cmd_mark(args) -> int:
 
 def cmd_verify(args) -> int:
     features = FeatureConfig(overlap=args.overlap)
-    layout = WatermarkLayout(grid_dim=args.grid_dim, puf_dim=args.puf_dim)
     db = load_enrollment_db(args.db_dir)
     img = read_pgm(args.image)
     thresholds = Thresholds(tau_fingerprint=args.tau_fingerprint,
                             tau_challenge=args.tau_challenge,
                             tau_response=args.tau_response)
-    report = verify(img, db, features, layout, thresholds)
+    report = verify(img, db, features, args.grid_dim, thresholds)
 
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.image).parent
     stem = Path(args.image).stem
@@ -144,7 +138,7 @@ def cmd_verify(args) -> int:
                [f"{Path(args.image).name},{report.verdict},"
                 f"{report.challenge_match_frac:.6f},{report.response_match_frac:.6f},"
                 f"{chip_id},{distance:.6f},{len(report.tamper_cells)}"])
-    write_pgm(tamper_bitmap(report, layout.grid_dim), out_dir / f"{stem}.tamper.pgm")
+    write_pgm(tamper_bitmap(report, args.grid_dim), out_dir / f"{stem}.tamper.pgm")
 
     print(f"verdict: {report.verdict}")
     print(f"challenge match: {report.challenge_match_frac:.4f}  "
@@ -164,6 +158,8 @@ def cmd_experiment_source_id(args) -> int:
     db = load_enrollment_db(args.db_dir)
     if len(db) < 3:
         raise CliError(f"source-id experiment needs >= 3 enrolled chips, found {len(db)}")
+    if len(sides := sorted(set(db.dims.tolist()))) > 1:
+        raise CliError(f"source-id experiment needs one map side, found {sides}")
     if len(args.images) < 3:
         raise CliError("source-id experiment needs >= 3 images")
     out_dir = Path(args.out_dir)
@@ -174,9 +170,7 @@ def cmd_experiment_source_id(args) -> int:
         img = read_pgm(image_path)
         stem = Path(image_path).stem
         for record in records:
-            layout = WatermarkLayout(grid_dim=args.grid_dim,
-                                     puf_dim=record.fingerprint.bits.shape[0])
-            wm = generate_watermark(img, record, features, layout)
+            wm = generate_watermark(img, record, features, args.grid_dim)
             marks[(stem, record.chip_id)] = wm
             write_pgm(watermark_bitmap(wm), out_dir / f"wm_{record.chip_id}_{stem}.pgm")
 
@@ -208,14 +202,14 @@ def cmd_experiment_source_id(args) -> int:
 
 
 def cmd_experiment_tamper(args) -> int:
-    record, layout = _chip_record(args)
+    record = _chip_record(args)
     features = FeatureConfig(overlap=args.overlap)
     out_dir = Path(args.out_dir)
     rows = []
     for image_path in args.images:
         img = read_pgm(image_path)
         stem = Path(image_path).stem
-        reference = generate_watermark(img, record, features, layout)
+        reference = generate_watermark(img, record, features, args.grid_dim)
 
         row = args.patch_row if args.patch_row is not None else img.shape[0] // 2
         col = args.patch_col if args.patch_col is not None else img.shape[1] // 2
@@ -225,7 +219,7 @@ def cmd_experiment_tamper(args) -> int:
         edited[row:row + size, col:col + size] = np.clip(
             patch + args.delta, 0, 255).astype(np.uint8)
 
-        probe = generate_watermark(edited, record, features, layout)
+        probe = generate_watermark(edited, record, features, args.grid_dim)
         img_change = float(np.mean(edited != img))
         wm_change = hamming_frac(reference.bits, probe.bits)
         s = sensitivity(img_change, wm_change)
@@ -233,7 +227,7 @@ def cmd_experiment_tamper(args) -> int:
                     f"{img_change:.6f},{wm_change:.6f},{s:.6f}")
 
         write_pgm(edited, out_dir / f"{stem}.edited.pgm")
-        diff = Watermark(bits=np.bitwise_xor(reference.bits, probe.bits), layout=layout)
+        diff = Watermark(bits=np.bitwise_xor(reference.bits, probe.bits), layout=reference.layout)
         write_pgm(watermark_bitmap(diff), out_dir / f"{stem}.wmdiff.pgm")
         print(f"{stem}: image change {img_change:.4%}, watermark change {wm_change:.4%}, "
               f"sensitivity {s:.3f}")
@@ -245,11 +239,10 @@ def cmd_experiment_tamper(args) -> int:
 
 
 def cmd_experiment_robustness(args) -> int:
-    record, layout = _chip_record(args)
+    record = _chip_record(args)
     img = read_pgm(args.image)
-    table = robustness_sweep(img, record, _float_list(args.sigmas),
-                             _float_list(args.overlaps),
-                             _int_list(args.noise_seeds), layout)
+    table = robustness_sweep(img, record, _list(args.sigmas, float), _list(args.overlaps, float),
+                             _list(args.noise_seeds, int), args.grid_dim)
     out_dir = Path(args.out_dir)
     _write_csv(out_dir / "robustness.csv", "sigma,overlap,flip_frac",
                [f"{sigma:g},{overlap:g},{flip:.6f}" for sigma, overlap, flip in table])
@@ -313,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a marked PGM image")
     p.add_argument("image")
     p.add_argument("--out-dir", default=None, help="default: alongside the image")
-    p.add_argument("--puf-dim", type=int, default=WatermarkLayout.puf_dim)
     p.add_argument("--tau-fingerprint", type=float, default=Thresholds.tau_fingerprint)
     p.add_argument("--tau-challenge", type=float, default=Thresholds.tau_challenge)
     p.add_argument("--tau-response", type=float, default=Thresholds.tau_response)

@@ -99,13 +99,14 @@ class AcquisitionConfig:
             raise ValueError(f"exposure must be >= 0, got {self.exposure}")
         if self.n_frames < 1:
             raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
+        chip_seed(self.rng_seed, "rng_seed")
 
 
-def chip_seed(value) -> int:
+def chip_seed(value, name: str = "seed") -> int:
     """A chip seed: a non-negative integer; bools and floats are rejected, so
     a record cannot name one chip and regenerate another."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     return int(value)
 
 
@@ -259,8 +260,15 @@ def save_json_record(path: Path, payload: dict) -> Path:
 # --- chip persistence -------------------------------------------------------
 # Only (chip_id, seed, params) hit disk; the matrices are regenerated.
 
+def record_path(db_dir: str | Path, chip_id: str, suffix: str) -> Path:
+    """``db_dir / (chip_id + suffix)``, for a chip_id that is a plain file name."""
+    if chip_id in ("", ".", "..") or "/" in chip_id or os.sep in chip_id:
+        raise ValueError(f"chip id {chip_id!r} is not a plain file name")
+    return Path(db_dir) / f"{chip_id}{suffix}"
+
+
 def chip_path(db_dir: str | Path, chip_id: str) -> Path:
-    return Path(db_dir) / f"{chip_id}.chip.json"
+    return record_path(db_dir, chip_id, ".chip.json")
 
 
 def save_chip(chip: ChipModel, db_dir: str | Path) -> Path:

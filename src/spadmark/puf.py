@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .imager import (AcquisitionConfig, ChipModel, acquire_dcm, json_record, read_bytes,
-                     save_json_record)
+                     record_path, save_json_record)
 
 
 @dataclass
@@ -190,7 +190,7 @@ class EnrollmentDB:
 
 
 def enrollment_path(db_dir: str | Path, chip_id: str) -> Path:
-    return Path(db_dir) / f"{chip_id}.enroll.json"
+    return record_path(db_dir, chip_id, ".enroll.json")
 
 
 def save_enrollment(record: EnrollmentRecord, db_dir: str | Path) -> Path:

@@ -98,12 +98,12 @@ def image_challenge(img: np.ndarray, cfg: FeatureConfig, grid_dim: int) -> np.nd
 
 def generate_watermark(img: np.ndarray, record: EnrollmentRecord,
                        cfg: FeatureConfig | None = None,
-                       layout: WatermarkLayout | None = None) -> Watermark:
+                       grid_dim: int = WatermarkLayout.grid_dim) -> Watermark:
     """Full generation pipeline: image content -> challenge -> responses ->
-    serialized watermark with the device fingerprint appended."""
+    serialized watermark with the record's fingerprint, of side P, appended."""
     cfg = cfg or FeatureConfig()
-    layout = layout or WatermarkLayout(puf_dim=record.fingerprint.bits.shape[0])
-    challenge = image_challenge(img, cfg, layout.grid_dim)
+    layout = WatermarkLayout(grid_dim=grid_dim, puf_dim=record.fingerprint.bits.shape[0])
+    challenge = image_challenge(img, cfg, grid_dim)
     response = puf_query(record, challenge)
     return assemble(challenge, response, record.fingerprint, layout)
 
@@ -135,7 +135,7 @@ def identify_source(fp: Fingerprint, db: EnrollmentDB,
 
 def verify(img: np.ndarray, db: EnrollmentDB,
            cfg: FeatureConfig | None = None,
-           layout: WatermarkLayout | None = None,
+           grid_dim: int = WatermarkLayout.grid_dim,
            thresholds: Thresholds | None = None) -> VerifyReport:
     """Check a marked image against the enrollment database.
 
@@ -144,15 +144,23 @@ def verify(img: np.ndarray, db: EnrollmentDB,
     the embedded responses disagree with the identified device's maps, and
     authentic otherwise. ``tamper_cells`` lists every challenge-grid cell
     whose recomputed address differs from the embedded one; the response
-    match is 0.0 when no source was identified.
+    match is 0.0 when no source was identified. The map side P comes from
+    ``db``: the fingerprint block is read at each enrolled side whose payload
+    fits the image, or at the default side if none does, and the nearest
+    match over all sides, a tie to the smaller side, names the source.
     """
     cfg = cfg or FeatureConfig()
-    layout = layout or WatermarkLayout()
     thresholds = thresholds or Thresholds()
 
-    embedded = extract_lsb(img, layout)
-    c_emb, r_emb, f_emb = disassemble(embedded)
-    c_img = image_challenge(img, cfg, layout.grid_dim)
+    # the enrolled sides, ascending, by bincount: np.unique takes 8x as long
+    # and 1.5 MB more peak memory. A side under 2 has no layout.
+    sides = [side for side in np.flatnonzero(np.bincount(db.dims)).tolist() if side >= 2]
+    layouts = [layout for layout in (WatermarkLayout(grid_dim, side) for side in sides)
+               if layout.total_bits <= np.size(img)] or [WatermarkLayout(grid_dim)]
+    embedded = extract_lsb(img, layouts[-1]).bits   # each side's payload is a prefix of it
+    blocks = [disassemble(Watermark(embedded[:layout.total_bits], layout)) for layout in layouts]
+    c_emb, r_emb, _ = blocks[0]     # the challenge and responses precede the fingerprint
+    c_img = image_challenge(img, cfg, grid_dim)
 
     c_diff = c_emb ^ c_img
     # popcount / bits equals hamming_frac of the unpacked bits exactly
@@ -160,23 +168,15 @@ def verify(img: np.ndarray, db: EnrollmentDB,
     challenge_match = 1.0 - c_flips / (8 * c_diff.size)
     tamper_cells = [(int(r), int(c)) for r, c in np.argwhere(c_diff)]
 
-    best = identify_source(f_emb, db, thresholds)
+    best = min(filter(None, (identify_source(f_emb, db, thresholds) for *_, f_emb in blocks)),
+               key=lambda match: match[1], default=None)     # the first of a tie
     if best is None:
-        return VerifyReport(challenge_match_frac=challenge_match,
-                            response_match_frac=0.0,
-                            fingerprint_best_match=None,
-                            verdict=UNKNOWN_SOURCE,
-                            tamper_cells=tamper_cells)
-
-    record = db.record(best[0])
-    expected = puf_query(record, c_img)
-    response_match = 1.0 - hamming_frac(r_emb, expected)
-
-    if (challenge_match < 1.0 - thresholds.tau_challenge
-            or response_match < 1.0 - thresholds.tau_response):
-        verdict = TAMPERED
+        response_match, verdict = 0.0, UNKNOWN_SOURCE
     else:
-        verdict = AUTHENTIC
+        response_match = 1.0 - hamming_frac(r_emb, puf_query(db.record(best[0]), c_img))
+        tampered = (challenge_match < 1.0 - thresholds.tau_challenge
+                    or response_match < 1.0 - thresholds.tau_response)
+        verdict = TAMPERED if tampered else AUTHENTIC
     return VerifyReport(challenge_match_frac=challenge_match,
                         response_match_frac=response_match,
                         fingerprint_best_match=best,
@@ -271,8 +271,7 @@ def _psnr_db(sse: int, size: int) -> float:
 
 
 def tolerant_flip_frac(clean: np.ndarray, noisy: list[np.ndarray],
-                       record: EnrollmentRecord, overlaps: list[float],
-                       layout: WatermarkLayout) -> np.ndarray:
+                       record: EnrollmentRecord, overlaps: list[float]) -> np.ndarray:
     """Challenge+response bit flips, desensitized by the band overlap.
 
     ``clean`` and each of ``noisy`` are the ``challenge_grid`` of an image;
@@ -293,7 +292,7 @@ def tolerant_flip_frac(clean: np.ndarray, noisy: list[np.ndarray],
     single = challenge_matrix(grids, FeatureConfig())
     resp = puf_query(record, single)
     charges = np.bitwise_count(single[0] ^ single[1:]) + (resp[:, :1] != resp[:, 1:]).sum(0)
-    total = layout.challenge_bits + 2 * layout.response_bits
+    total = WatermarkLayout(grid_dim=clean.shape[0]).fingerprint_slice.start   # C + R bits
     flips = np.empty((len(cfgs), len(noisy)))
     for i, cfg in enumerate(cfgs):
         bands = challenge_matrix(grids, cfg)
@@ -305,7 +304,7 @@ def tolerant_flip_frac(clean: np.ndarray, noisy: list[np.ndarray],
 def robustness_sweep(img: np.ndarray, record: EnrollmentRecord,
                      sigmas: list[float], overlaps: list[float],
                      seeds: list[int],
-                     layout: WatermarkLayout | None = None) -> list[tuple[float, float, float]]:
+                     grid_dim: int = WatermarkLayout.grid_dim) -> list[tuple[float, float, float]]:
     """Flip fraction of the image-dependent watermark bits under noise.
 
     For each (sigma, overlap): add Gaussian noise to the clean image and
@@ -325,14 +324,13 @@ def robustness_sweep(img: np.ndarray, record: EnrollmentRecord,
         raise ValueError("need at least one noise seed")
     for overlap in overlaps:    # checked before any noise is drawn
         FeatureConfig(overlap=overlap)
-    layout = layout or WatermarkLayout(puf_dim=record.fingerprint.bits.shape[0])
-    d = layout.grid_dim
+    d = grid_dim
     pixels = _check_gray(img)
     clean = challenge_grid(pixels, d)
     noisy = []      # seed-major: one draw serves every sigma
     for seed in seeds:
         noisy.extend(challenge_grid(image, d) for image in _gaussian_noise(pixels, sigmas, seed))
-    flips = tolerant_flip_frac(clean, noisy, record, overlaps, layout).reshape(
+    flips = tolerant_flip_frac(clean, noisy, record, overlaps).reshape(
         len(overlaps), len(seeds), len(sigmas))
     table = [(float(sigma), float(overlap), float(np.mean(flips[i, :, j])))
              for i, overlap in enumerate(overlaps) for j, sigma in enumerate(sigmas)]

@@ -149,6 +149,40 @@ def test_verify_unknown_source_exit_code(tmp_path):
                  "--out-dir", str(out)]) == 3
 
 
+def test_verify_reads_each_map_side_from_the_records(tmp_path):
+    # one database may mix map sides; each chip's marked image names that
+    # chip with no size flag
+    db = tmp_path / "db"
+    for chip_id, side in (("small", "32"), ("large", "64")):
+        assert main(["--db-dir", str(db), "chip", "new", chip_id, "--seed", side,
+                     "--array-dim", side]) == 0
+        assert main(["--db-dir", str(db), "chip", "enroll", chip_id]) == 0
+    img_path = tmp_path / "scene.pgm"
+    write_pgm(make_image(0), img_path)
+    for chip_id in ("small", "large"):
+        out = tmp_path / chip_id
+        assert main(["--db-dir", str(db), "mark", str(img_path), "--chip", chip_id,
+                     "--out-dir", str(out)]) == 0
+        assert main(["--db-dir", str(db), "verify", str(out / "scene.marked.pgm"),
+                     "--out-dir", str(out)]) == 0
+        row = (out / "scene.marked.verify.csv").read_text().splitlines()[1].split(",")
+        assert row[1] == "authentic" and row[4] == chip_id
+
+
+def test_puf_dim_is_a_usage_error(tmp_path, capsys):
+    # the map side is read from the records: the option is gone, and passing
+    # it is reported in one line before anything is written
+    db, marked, _ = _marked(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "verified"
+    assert main(["--db-dir", str(db), "verify", str(marked), "--out-dir", str(out),
+                 "--puf-dim", "64"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["wm: error: unrecognized arguments: --puf-dim 64"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("corrupt, reason", [
     (lambda rec: {k: v for k, v in rec.items() if k != "fingerprint"},
      "missing field 'fingerprint'"),
@@ -452,6 +486,32 @@ def test_chip_new_rejects_negative_seed(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["wm: error: seed must be a non-negative integer, got -3"]
     assert not (db / "chip1.chip.json").exists()
+
+
+def test_chip_enroll_rejects_negative_seed(tmp_path, capsys):
+    db = _setup_db(tmp_path, n_chips=1, enroll_chips=False)
+    capsys.readouterr()
+    assert main(["--db-dir", str(db), "chip", "enroll", "chip1", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["wm: error: rng_seed must be a non-negative integer, got -1"]
+    assert not (db / "chip1.enroll.json").exists()
+
+
+@pytest.mark.parametrize("chip_id", ["a/b", "../escape", "", ".", ".."])
+@pytest.mark.parametrize("command", ["new", "enroll", "mark"])
+def test_chip_id_must_be_a_plain_file_name(tmp_path, capsys, command, chip_id):
+    # such an id would name a file that is hidden, outside the db dir, or in
+    # a subdirectory that no load lists
+    img_path = tmp_path / "scene.pgm"
+    write_pgm(make_image(0), img_path)
+    argv = {"new": ["chip", "new", chip_id, "--seed", "1"],
+            "enroll": ["chip", "enroll", chip_id],
+            "mark": ["mark", str(img_path), "--chip", chip_id]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["--db-dir", str(tmp_path / "db"), *argv]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"wm: error: chip id {chip_id!r} is not a plain file name"]
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("flag,value,field", [
@@ -878,6 +938,23 @@ def test_experiment_source_id_needs_three_chips(tmp_path):
     assert main(["--db-dir", str(db), "experiment", "source-id",
                  "--images", str(img), str(img), str(img),
                  "--out-dir", str(tmp_path / "out")]) == 1
+
+
+def test_experiment_source_id_rejects_mixed_map_sides(tmp_path, capsys):
+    # watermarks of two sides differ in length and cannot be compared
+    db = _setup_db(tmp_path)
+    assert main(["--db-dir", str(db), "chip", "new", "small", "--seed", "9",
+                 "--array-dim", "32"]) == 0
+    assert main(["--db-dir", str(db), "chip", "enroll", "small"]) == 0
+    img = tmp_path / "img.pgm"
+    write_pgm(make_image(0), img)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["--db-dir", str(db), "experiment", "source-id",
+                 "--images", str(img), str(img), str(img), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "wm: error: source-id experiment needs one map side, found [32, 64]"]
+    assert not out.exists()
 
 
 def test_experiment_tamper(tmp_path):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from spadmark import (EnrollmentDB, FeatureConfig, Fingerprint, Thresholds, WatermarkLayout,
-                      add_gaussian_noise, assemble, disassemble, embed_lsb, feature_images,
-                      generate_watermark, hamming_frac, identify_source,
-                      psnr, puf_query, robustness_sweep, sensitivity, verify)
+from spadmark import (EnrollmentDB, EnrollmentRecord, FeatureConfig, Fingerprint, Thresholds,
+                      WatermarkLayout, add_gaussian_noise, assemble, disassemble, embed_lsb,
+                      feature_images, generate_watermark, hamming_frac, identify_source,
+                      load_enrollment_db, psnr, puf_query, robustness_sweep, save_enrollment,
+                      sensitivity, verify)
 from spadmark import features, verifier
 from spadmark.verifier import (AUTHENTIC, TAMPERED, UNKNOWN_SOURCE,
                                challenge_grid, tamper_bitmap,
@@ -336,6 +337,28 @@ def test_verify_authentic_exact(records, enrolled_db, host_images):
     assert report.tamper_cells == []
 
 
+def test_verify_skips_sides_with_no_layout(records, enrolled_db, host_images):
+    # a hand-edited record may enroll a side of 0 or 1; no payload has one
+    db = EnrollmentDB([*zip(enrolled_db.chip_ids, enrolled_db.dims.tolist(),
+                            map(bytes, enrolled_db.fingerprints), enrolled_db.paths),
+                       ("dot", 1, b"\x80", "dot.enroll.json"), ("none", 0, b"", "none.enroll.json")])
+    marked = embed_lsb(host_images[0], generate_watermark(host_images[0], records[0]))
+    report = verify(marked, db)
+    assert report.verdict == AUTHENTIC and report.fingerprint_best_match == ("chip1", 0.0)
+
+
+def test_verify_tie_across_sides_goes_to_the_smaller_side(tmp_path, records, host_images):
+    # the payload read at side 32 holds the first 32*32 bits of chip1's
+    # fingerprint: a 32-side record of those bits is as near as chip1 itself
+    head = records[0].fingerprint.bits.reshape(-1)[:32 * 32].reshape(32, 32)
+    save_enrollment(records[0], tmp_path)
+    save_enrollment(EnrollmentRecord("z32", head, np.zeros_like(head), Fingerprint(head),
+                                     records[0].enrollment_cfg), tmp_path)
+    marked = embed_lsb(host_images[0], generate_watermark(host_images[0], records[0]))
+    report = verify(marked, load_enrollment_db(tmp_path))
+    assert report.fingerprint_best_match == ("z32", 0.0)
+
+
 def test_verify_forged_responses(records, enrolled_db, host_images):
     # keep chip1's fingerprint but answer the challenge with chip2's maps
     wm = generate_watermark(host_images[0], records[0])
@@ -439,7 +462,7 @@ def test_tolerant_flips_zero_overlap_is_plain_hamming(records, host_images):
     content = slice(0, layout.fingerprint_slice.start)   # challenge + responses
     plain = hamming_frac(wm_ref.bits[content], wm_noisy.bits[content])
     grids = [challenge_grid(x, layout.grid_dim) for x in (img, noisy)]
-    flips = tolerant_flip_frac(grids[0], grids[1:], records[0], [0.0], layout)
+    flips = tolerant_flip_frac(grids[0], grids[1:], records[0], [0.0])
     assert flips[0, 0] == pytest.approx(plain)
 
 
@@ -449,7 +472,7 @@ def test_tolerant_flips_monotone_in_overlap(records, host_images):
     clean = challenge_grid(img, layout.grid_dim)
     noisy = [challenge_grid(add_gaussian_noise(img, 30.0, seed=seed), layout.grid_dim)
              for seed in (1, 2)]
-    table = tolerant_flip_frac(clean, noisy, records[0], [0, 2, 4, 6, 8, 10, 12], layout)
+    table = tolerant_flip_frac(clean, noisy, records[0], [0, 2, 4, 6, 8, 10, 12])
     for flips in table.T:   # one column per seed, overlaps down the rows
         assert all(a >= b for a, b in zip(flips, flips[1:]))
 
@@ -494,7 +517,7 @@ def test_robustness_sweep_rejects_overlap_before_noise(records, host_images, mon
     assert calls == []
 
 
-def _reference_flip_frac(clean, noisy, record, overlaps, layout):
+def _reference_flip_frac(clean, noisy, record, overlaps):
     """The per-(overlap, grid) band-plane loop ``tolerant_flip_frac`` replaced."""
     single = FeatureConfig()
 
@@ -509,6 +532,7 @@ def _reference_flip_frac(clean, noisy, record, overlaps, layout):
         charges.append(np.bitwise_count(c_clean ^ c_noisy)
                        + (resp_clean[0] != resp_noisy[0])
                        + (resp_clean[1] != resp_noisy[1]))
+    layout = WatermarkLayout(grid_dim=clean.shape[0])
     total = layout.challenge_bits + 2 * layout.response_bits
     flips = np.zeros((len(overlaps), len(noisy)))
     for i, overlap in enumerate(overlaps):
@@ -532,9 +556,8 @@ def test_tolerant_flip_frac_equals_plane_loop(records, grid_dim, n_noisy, overla
     clean = rng.integers(0, 256, (grid_dim, grid_dim), dtype=np.uint8)
     noisy = [np.clip(clean + rng.integers(-spread, spread + 1, clean.shape), 0, 255)
              .astype(np.uint8) for _ in range(n_noisy)]
-    layout = WatermarkLayout(grid_dim=grid_dim)
-    flips = tolerant_flip_frac(clean, noisy, records[0], overlaps, layout)
-    reference = _reference_flip_frac(clean, noisy, records[0], overlaps, layout)
+    flips = tolerant_flip_frac(clean, noisy, records[0], overlaps)
+    reference = _reference_flip_frac(clean, noisy, records[0], overlaps)
     assert flips.shape == reference.shape and (flips == reference).all()
 
 
