@@ -4,12 +4,15 @@ Each simulated chip owns a per-pixel dark count rate (DCR) field plus a
 per-pixel temperature coefficient. Both are drawn deterministically from the
 chip seed, so a chip can be persisted as (id, seed, params) alone and
 regenerated bit-exactly. Dark frames are Poisson photon-counting draws from
-the rate field; ``acquire_dcm`` sums a configurable number of them into one
-int64 count array, the dark count map.
+the rate field. ``acquire_dcm`` integrates a configurable number of them into
+one int64 count array, the dark count map, as a single Poisson draw: a sum of
+independent Poisson frames has the distribution of one draw at their summed
+mean. The default acquisition is 100 frames of 0.4 s.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -86,7 +89,7 @@ class AcquisitionConfig:
     """One dark-frame acquisition: temperature, exposure, frame count, seed."""
 
     temperature: float = 25.0   # deg C
-    exposure: float = 0.1       # seconds per frame
+    exposure: float = 0.4       # seconds per frame
     n_frames: int = 100
     rng_seed: int = 0
 
@@ -97,8 +100,9 @@ class AcquisitionConfig:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.exposure < 0:
             raise ValueError(f"exposure must be >= 0, got {self.exposure}")
-        if self.n_frames < 1:
-            raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
+        if (isinstance(self.n_frames, bool) or not isinstance(self.n_frames, Integral)
+                or self.n_frames < 1):
+            raise ValueError(f"n_frames must be an integer >= 1, got {self.n_frames!r}")
         chip_seed(self.rng_seed, "rng_seed")
 
 
@@ -166,31 +170,30 @@ def dcr_map(chip: ChipModel, temperature: float) -> np.ndarray:
 
 
 def acquire_dcm(chip: ChipModel, cfg: AcquisitionConfig) -> np.ndarray:
-    """Accumulate ``n_frames`` Poisson dark frames into one (array_dim,
+    """Integrate ``n_frames`` Poisson dark frames into one (array_dim,
     array_dim) int64 count map.
 
-    Each frame draws an independent Poisson count per pixel with mean
-    rate * exposure; frames are summed. Deterministic given cfg.rng_seed.
-    A zero exposure counts nothing at any temperature. Otherwise a pixel
-    expecting more than ``MAX_COUNTS`` over all frames (an infinite rate
-    included) raises ValueError naming the exposure and temperature
-    before anything is drawn.
+    Each frame counts an independent Poisson number per pixel with mean
+    rate * exposure. Their sum has the distribution of one Poisson draw with
+    mean n_frames * rate * exposure, so that one draw is taken: equal in
+    distribution to the frame sum, not in bits. Deterministic given
+    cfg.rng_seed. A zero exposure counts nothing at any temperature.
+    Otherwise a pixel expecting more than ``MAX_COUNTS`` over all frames (an
+    infinite rate included) raises ValueError naming the exposure and
+    temperature before anything is drawn.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     with np.errstate(over="ignore", invalid="ignore"):
         rates = dcr_map(chip, cfg.temperature)
         # an infinite rate times 0 s would be NaN, not 0
-        mean_per_frame = rates * cfg.exposure if cfg.exposure else np.zeros_like(rates)
-        peak = float(mean_per_frame.max()) * cfg.n_frames
+        mean = rates * (cfg.n_frames * cfg.exposure) if cfg.exposure else np.zeros_like(rates)
+        peak = float(mean.max())
     if not peak <= MAX_COUNTS:
         raise ValueError(
             f"exposure {cfg.exposure:g} s at temperature {cfg.temperature:g} C gives up to "
             f"{peak:.3g} dark counts a pixel over {cfg.n_frames} frames, above the "
             f"{MAX_COUNTS:.3g} a count map holds")
-    counts = np.zeros(mean_per_frame.shape, dtype=np.int64)
-    for _ in range(cfg.n_frames):
-        counts += rng.poisson(mean_per_frame)
-    return counts
+    return rng.poisson(mean).astype(np.int64, copy=False)
 
 
 # --- record files -------------------------------------------------------------
@@ -245,14 +248,18 @@ def save_json_record(path: Path, payload: dict) -> Path:
     killed midway, sees the old record or the new one, never a part. On
     failure the temporary file is removed and the error raised."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")
+    # a str, not path.with_name: pathlib interns every name it parses, and a
+    # fresh random name per write makes the interned-string table rebuild
+    # itself (about 1 MB at a time) every few thousand writes
+    tmp = os.path.join(path.parent, f".{os.urandom(8).hex()}.tmp")
     f = open(tmp, "xb")
     try:
         with f:
             f.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
     return path
 

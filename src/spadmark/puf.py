@@ -85,9 +85,10 @@ def fingerprint(h: np.ndarray, v: np.ndarray) -> Fingerprint:
 
 
 def golden_acquisition(chip: ChipModel, rng_seed: int = 0) -> AcquisitionConfig:
-    """Default enrollment acquisition: AcquisitionConfig's frame count and
-    exposure at the chip's reference temperature, enough integration to
-    suppress shot noise on most pixels."""
+    """Default enrollment acquisition: AcquisitionConfig's 100 frames of
+    0.4 s at the chip's reference temperature, taken as one Poisson draw
+    equal in distribution to their sum. That integration keeps two golden
+    acquisitions of a chip within 2 % of map bits with margin."""
     return AcquisitionConfig(temperature=chip.params.ref_temp, rng_seed=rng_seed)
 
 

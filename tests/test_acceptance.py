@@ -112,22 +112,60 @@ def test_criterion_3_source_identification(records, host_images):
             failures)
 
 
+def test_criterion_3_drift_on_held_out_chips():
+    # re-enrollment drift of 200 chips no other test uses: the worst of the
+    # fingerprint and both map distances between two golden acquisitions
+    failures, drifts = [], []
+    for i in range(200):
+        chip = new_chip(f"held{i}", 2000 + i)
+        a, b = (enroll(chip, golden_acquisition(chip, rng_seed=seed)) for seed in (100 + i, 900 + i))
+        drift = max(hamming_frac(a.fingerprint.bits, b.fingerprint.bits),
+                    hamming_frac(a.rdcm_h, b.rdcm_h), hamming_frac(a.rdcm_v, b.rdcm_v))
+        drifts.append(drift)
+        if drift > 0.02:
+            failures.append(f"{chip.chip_id}: drift {drift:.4f}")
+    print(f"\n  held-out re-enrollment drift: mean {np.mean(drifts):.4f}, max {max(drifts):.4f}")
+    _report(3, "re-enrollment drift <= 2% on 200 held-out chips", failures)
+
+
+def _temperature_flips(chip, record, rng_seed):
+    """Criterion 4's mean map flip against ``record`` at each temperature."""
+    flips = {}
+    for temperature in (0.0, 40.0, 60.0, 80.0):
+        # shot-noise-suppressed re-derivation: stretch the exposure at
+        # cold temperatures to cancel the known mean 2^(dT/8) rate drop
+        exposure = 0.1 * 2.0 ** max(0.0, (25.0 - temperature) / 8.0)
+        cfg = AcquisitionConfig(temperature=temperature, exposure=exposure,
+                                n_frames=100, rng_seed=rng_seed)
+        h, v = rdcm(acquire_dcm(chip, cfg))
+        flips[temperature] = 0.5 * (hamming_frac(record.rdcm_h, h)
+                                    + hamming_frac(record.rdcm_v, v))
+    return flips
+
+
 def test_criterion_4_temperature_resilience(chips):
     failures = []
     for i, chip in enumerate(chips[:3]):
         record = enroll(chip, golden_acquisition(chip, rng_seed=100 + i))
-        for temperature in (0.0, 40.0, 60.0, 80.0):
-            # shot-noise-suppressed re-derivation: stretch the exposure at
-            # cold temperatures to cancel the known mean 2^(dT/8) rate drop
-            exposure = 0.1 * 2.0 ** max(0.0, (25.0 - temperature) / 8.0)
-            cfg = AcquisitionConfig(temperature=temperature, exposure=exposure,
-                                    n_frames=100, rng_seed=7000 + i)
-            h, v = rdcm(acquire_dcm(chip, cfg))
-            flip = 0.5 * (hamming_frac(record.rdcm_h, h) + hamming_frac(record.rdcm_v, v))
+        for temperature, flip in _temperature_flips(chip, record, 7000 + i).items():
             if flip > 0.02:
                 failures.append(f"{chip.chip_id} T={temperature}: flips {flip:.4f}")
     _report(4, "relative maps flip <= 2% from 0 to 80 C against 25 C enrollment",
             failures)
+
+
+def test_criterion_4_on_held_out_chips():
+    failures, worst = [], []
+    for i in range(200):
+        chip = new_chip(f"held{i}", 3000 + i)
+        record = enroll(chip, golden_acquisition(chip, rng_seed=100 + i))
+        temperature, flip = max(_temperature_flips(chip, record, 7000 + i).items(),
+                                key=lambda item: item[1])
+        worst.append(flip)
+        if flip > 0.02:
+            failures.append(f"{chip.chip_id} T={temperature}: flips {flip:.4f}")
+    print(f"\n  held-out worst map flip: mean {np.mean(worst):.4f}, max {max(worst):.4f}")
+    _report(4, "relative maps flip <= 2% on 200 held-out chips", failures)
 
 
 def test_criterion_5_tamper_detection(records, enrolled_db, host_images):

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import spadmark
-from spadmark import (AUTHENTIC, FeatureConfig, embed_lsb, generate_watermark, load_enrollment,
-                      load_watermark, psnr, read_pgm, write_pgm)
+from spadmark import (AUTHENTIC, AcquisitionConfig, FeatureConfig, embed_lsb, generate_watermark,
+                      load_enrollment, load_watermark, psnr, read_pgm, write_pgm)
 from spadmark.cli import build_parser, main
 from conftest import make_image, traced_peak_bytes
 
@@ -378,10 +378,18 @@ def _non_hex_rdcm_v(text: str) -> str:
     return text[:at] + "zz" + text[at + 2:]
 
 
+def _acquisition_edit(key: str, value: str):
+    """Replace the default ``key`` of a golden record's acquisition with ``value``."""
+    default = json.dumps(getattr(AcquisitionConfig, key))
+    return lambda text: text.replace(f'"{key}": {default},', f'"{key}": {value},', 1)
+
+
 @pytest.mark.parametrize("field, edit", [
     ("rdcm_v", _non_hex_rdcm_v),
-    ("acquisition", lambda text: text.replace('"exposure": 0.1,', '"exposure": -1,', 1)),
-], ids=["non-hex-rdcm_v", "negative-exposure"])
+    ("acquisition", _acquisition_edit("exposure", "-1")),
+    ("acquisition", _acquisition_edit("n_frames", "2.5")),
+    ("acquisition", _acquisition_edit("n_frames", "true")),
+], ids=["non-hex-rdcm_v", "negative-exposure", "fractional-n_frames", "bool-n_frames"])
 def test_malformed_record_fails_only_its_own_chip(tmp_path, capsys, field, edit):
     # a record in save_enrollment's layout gives its row from its own lines;
     # a bad map or acquisition fails the verify that reads its maps only

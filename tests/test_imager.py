@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 from contextlib import suppress
 from dataclasses import asdict
@@ -10,7 +11,7 @@ from hypothesis import given
 
 from spadmark import (AcquisitionConfig, ChipParams, acquire_dcm, dcr_map,
                       load_chip, new_chip, save_chip)
-from spadmark.imager import read_bytes
+from spadmark.imager import read_bytes, save_json_record
 from conftest import FUZZ, fuzzed_json
 
 
@@ -38,6 +39,17 @@ def test_acquisition_validation():
         AcquisitionConfig(exposure=-0.1)
     with pytest.raises(ValueError):
         AcquisitionConfig(n_frames=0)
+
+
+@pytest.mark.parametrize("n_frames", [2.5, 100.0, True, "100", None, -1])
+def test_n_frames_must_be_an_integer(n_frames):
+    # one draw takes n_frames as a factor, so 2.5 would integrate 2.5 frames
+    with pytest.raises(ValueError, match="^n_frames must be an integer >= 1, got "):
+        AcquisitionConfig(n_frames=n_frames)
+
+
+def test_n_frames_takes_numpy_integers():
+    assert AcquisitionConfig(n_frames=np.int64(3)).n_frames == 3
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -114,8 +126,8 @@ def test_acquire_zero_exposure_is_dark():
 
 
 def test_acquire_rejects_counts_past_int64():
-    # flat 100 cps chip: 5e18 counts a frame is drawable, but two frames'
-    # int64 sum, 1e19, wrapped negative without a word
+    # flat 100 cps chip: 5e18 counts over one frame is drawable, but two
+    # frames' 1e19 is past int64, and numpy refuses a Poisson mean that large
     chip = new_chip("flat", 9, ChipParams(dcr_sigma=0.0))
     one = acquire_dcm(chip, AcquisitionConfig(exposure=5e16, n_frames=1, rng_seed=1))
     assert np.all(one > 0)
@@ -160,6 +172,26 @@ def test_acquire_poisson_statistics():
     assert abs(per_frame.mean() - 10.0) < 5 * sigma / 64
 
 
+def test_acquire_counts_are_poisson_dispersed():
+    # the golden acquisition on a flat 100 cps chip: every pixel counts
+    # Poisson(100 x 0.4 s x 100 cps = 4000), so the variance over the 4096
+    # pixels equals the mean within a few percent. Scaling one frame's draw
+    # by n_frames has the same mean and 100x the variance.
+    chip = new_chip("flat", 9, ChipParams(dcr_sigma=0.0))
+    cfg = AcquisitionConfig(rng_seed=5)
+    counts = acquire_dcm(chip, cfg)
+    expected = 100.0 * cfg.exposure * cfg.n_frames
+    assert abs(counts.mean() - expected) < 5 * np.sqrt(expected / counts.size)
+    assert abs(counts.var() / counts.mean() - 1.0) < 0.15
+
+
+def test_acquire_takes_one_draw():
+    chip = new_chip("c", 1)
+    cfg = AcquisitionConfig(rng_seed=42)
+    draw = np.random.default_rng(42).poisson(dcr_map(chip, 25.0) * (cfg.n_frames * cfg.exposure))
+    assert np.array_equal(acquire_dcm(chip, cfg), draw)
+
+
 def test_mean_convergence_against_rate():
     chip = new_chip("c", 21)
     cfg = AcquisitionConfig(temperature=25.0, exposure=0.1, n_frames=100, rng_seed=3)
@@ -196,3 +228,18 @@ def test_read_bytes_reads_the_whole_file(tmp_path, size):
     data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
     (tmp_path / "f").write_bytes(data)
     assert read_bytes(tmp_path / "f") == data
+
+
+def test_save_json_record_leaves_only_the_record(tmp_path):
+    path = save_json_record(tmp_path / "r.json", {"b": 1, "a": [2]})
+    assert os.listdir(tmp_path) == ["r.json"]
+    assert path.read_text() == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
+
+
+def test_save_json_record_that_fails_keeps_the_old_record(tmp_path):
+    path = save_json_record(tmp_path / "r.json", {"a": 1})
+    old = path.read_bytes()
+    with pytest.raises(TypeError):     # json.dumps fails after the temp file is open
+        save_json_record(path, {"a": object()})
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["r.json"]
