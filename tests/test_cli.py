@@ -796,15 +796,15 @@ GOLDEN_SHA256 = {
     "db/chip1.chip.json":
         "00e06369928d5afde85bad9a94680a165b50898e24c8d149932c5fa3c1ef5f2e",
     "db/chip1.enroll.json":
-        "1c092b7c52321ce7bf483270b9fbdc8ea0de41e79f8807a7a9d6ffe199506e02",
+        "15a1c8d5e040fcf1b8f7401a26bd9dafb2f920299ae60c62222c1d6d893873ee",
     "db/chip2.chip.json":
         "2194b8642a24ed620e66e7e1f60650f3246e5330481a20c8359c8f9d8f51506a",
     "db/chip2.enroll.json":
-        "f988fd1243d34d680aef18ad40a2654863a81b7caec112f0e6bf6515fd354e35",
+        "d14aeba3fdd1fcbbf67dbcbfa9719ed23b0706ef5249fec439bfb5cbe0c6f3df",
     "db/chip3.chip.json":
         "a109ae198f91df47f9d07511d18de4d7a1574bd1089b621c3b09f1e6ca3754d7",
     "db/chip3.enroll.json":
-        "5017a1200e48fb21bbcfe53fe7303bf5144c58f7452ccd7607eb1e3b0520af84",
+        "c26e779a1e35bdf1a2424361a95ba72635097a67ace54af5479dd7a582d993aa",
     "exp/robustness.csv":
         "ea7cb479be9d172d6b8a330604e27ea9322ec7e4e60c96b3f27e83f5d6018710",
     "exp/scene0.edited.pgm":
@@ -812,49 +812,49 @@ GOLDEN_SHA256 = {
     "exp/scene0.wmdiff.pgm":
         "217628d149ec816cf6d838f75b0fb0edb9d9f00b18b1a371b5bf9c346e5a7581",
     "exp/source_id.csv":
-        "dc021edbdb17160f043c8cd88d1d35f7c119b35faede1d0ea807738af8c03463",
+        "cc30e2fc65e508de01a1247e6d27871fab4a23f36a7b3b46a949c7a54b21cbf1",
     "exp/tamper.csv":
         "3a002e7adfe64408f5cffc5707fd6a7bdb081105fccb92a505ffb54f389b3c53",
     "exp/wm_chip1_scene0.pgm":
-        "8f1f6991252a4bfc9923146010e95921bdc26ed5cb25317638374e947d4685da",
+        "7557e7e372813b8c73652248565317bdf99bd71979c10781dd562ed18c87064e",
     "exp/wm_chip1_scene1.pgm":
-        "a9a7c39922043ee6ec2507de614bf7878f0de2e7e2127e16620d540f9b0b38c5",
+        "b88b2ca6eedc33d749928b92b4db71ba1ee74a2c37fb6c735733ad6a87b9078e",
     "exp/wm_chip1_scene2.pgm":
-        "c1afd4c3010af0cbf1773efcdd89ba72769ecfaa3fa765f27bb04bd48d95209e",
+        "e31151eb85ba40e7645dd4af7ab381d6cc662b85873c95970153b50b069a3fc9",
     "exp/wm_chip2_scene0.pgm":
-        "bb979d0d0cc2fa2a9db568805ce694b5afdf421620284824dc1d37709de95c78",
+        "531272ab95ff7d64ab82e830ebb50306eba2d1cea1e1e31b36948234157d8d5d",
     "exp/wm_chip2_scene1.pgm":
-        "cde3d9d4558bf79e11332dbebdefa765919951a363837509355b2859abcfbe35",
+        "5a011e85e84d17010254d1e90e77628da2c7de3d96e9ed417f0658b83a68437a",
     "exp/wm_chip2_scene2.pgm":
-        "1af7ac0076bdb6ccca2b4129ba7acf67df219d6df98a10eb7d994660d70a3503",
+        "2afff8413425d12c54cfb4428f92f694ad68f23e3b03c70ea039a96c6a040128",
     "exp/wm_chip3_scene0.pgm":
-        "9eb7f3f3cd33ca3e4413d7a0a38e30d890a1ead08de36603d03ed917b3a9ee51",
+        "8d3620747ccf5526e0900a05146465b78f9244f6e21dfb28f2ed494f218af44e",
     "exp/wm_chip3_scene1.pgm":
-        "a38b7f75d006b9d3a80f15ee56d00577b4c2bb2907b29b5d5097108913f5dcd2",
+        "f9347b69a568e22ce62bfc74e81b1d7f2682b3957153d7cac0bac9dc493d5dc0",
     "exp/wm_chip3_scene2.pgm":
-        "710de88ee574b0d75e081570fc4eb4604e44b114f008406e32e4203ff2e8f383",
+        "d8151aa1662529d1adb4688cfab5faa154d6564dec9949f56df93bd3ca2b2590",
     "out/doctored.pgm":
-        "592c7d3e4efa141606d43713a5d8c9c2a52e3b5e37907725dbdc72f33507b565",
+        "addfc858a99e7a0048e046c0b49554fd051bea37e9ab34e2232a8d86b840ba46",
     "out/doctored.tamper.pgm":
         "3cc0714d4006958b532efb2f39be9e95fb3de8c7bd94d368c2e88be70969bf92",
     "out/doctored.verify.csv":
         "8945705239b15647b26d3d244a572522d9a3385d8325d937412c7b70da185111",
     "out/scene0.marked.pgm":
-        "20b59cbe51fdef4737b8b58f91a1d7eec3a48e4c77ff96916af50f26fab65c37",
+        "40914b547b9bf69e8863e489e867fda8d3f98376f4a5060618627cbd176edbbd",
     "out/scene0.marked.tamper.pgm":
         "3db2fca03e6a810872bd3b10250e830fadbf388db957b79ee41ae59f003392a9",
     "out/scene0.marked.verify.csv":
         "f2e84a0bdcb0c55bef176ae6beea257ac484d25a44bd453c2c438d55d04165dc",
     "out/scene0.wm.txt":
-        "0b2ff03e84b53bdc3358b5ffb0c96602eecdd881e4792f483d6a10cd8279adf7",
+        "8804338a342722d24b5aa37e056d95a761de2f25ed859e6523f596db068b4e50",
     "out6/scene0.marked.pgm":
-        "ba27b37f785972e40a56c947f085de4f42b92d784ebb8f1173792c5a1c638ea9",
+        "58729a52c0e66648f444cde111863b014b6307b753438b53ea177cf55d62c225",
     "out6/scene0.marked.tamper.pgm":
         "3db2fca03e6a810872bd3b10250e830fadbf388db957b79ee41ae59f003392a9",
     "out6/scene0.marked.verify.csv":
         "cacda951587ec4475e4a35a80471e53749ad6f77826cc2b0d30fd3dfe626c8d6",
     "out6/scene0.wm.txt":
-        "adc0b7d90ec286fb7e398b292837a517360cd0b39c0f0267db6edc981947e6de",
+        "0d058e8d582d8838b1f5c98e4d601a07a120a508db3c2da955426022cbf0f80e",
     "scene0.pgm":
         "5b8cf6b0af62296e0dd12566cc78ef068735025b9fa032183fb3c055549fefc8",
     "scene1.pgm":
