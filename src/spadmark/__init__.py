@@ -15,8 +15,8 @@ from .puf import (EnrollmentDB, EnrollmentRecord, Fingerprint, enroll, fingerpri
                   puf_query, rdcm, save_enrollment)
 from .features import FeatureConfig, challenge_matrix, downsample, feature_images
 from .codec import (PgmError, Watermark, WatermarkLayout, assemble,
-                    disassemble, embed_lsb, extract_lsb, load_watermark,
-                    read_pgm, save_watermark, write_pgm)
+                    disassemble, embed_lsb, extract_lsb, read_pgm,
+                    save_watermark, write_pgm)
 from .verifier import (AUTHENTIC, TAMPERED, UNKNOWN_SOURCE, Thresholds,
                        VerifyReport, add_gaussian_noise, generate_watermark,
                        hamming_frac, identify_source, image_challenge, psnr,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import L, _check_gray
-from .puf import Fingerprint, bits_to_hex, hex_to_bits
+from .puf import Fingerprint, bits_to_hex
 
 
 @dataclass(frozen=True)
@@ -234,33 +234,3 @@ def save_watermark(wm: Watermark, path: str | Path) -> Path:
     header = f"wm v1 D={layout.grid_dim} P={layout.puf_dim} L={L}"
     path.write_text(header + "\n" + bits_to_hex(wm.bits) + "\n")
     return path
-
-
-def _decimal(text: str) -> int:
-    """A layout field as ``save_watermark`` writes it: plain decimal, so
-    ``int()``'s other spellings (``+16``, ``1_6``, ``016``) are rejected."""
-    value = int(text)
-    if str(value) != text:
-        raise ValueError(f"{text!r} is not written as a plain decimal")
-    return value
-
-
-def load_watermark(path: str | Path) -> Watermark:
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("wm v1 "):
-        raise ValueError(f"{path}: not a v1 watermark sidecar")
-    tokens = [part.partition("=") for part in lines[0].split()[2:]]
-    if not all(sep for _, sep, _ in tokens):
-        raise ValueError(f"{path}: header fields must be KEY=VALUE, got {lines[0]!r}")
-    fields = {key: value for key, _, value in tokens}
-    if not {"D", "P", "L"} <= fields.keys():
-        raise ValueError(f"{path}: header needs D=, P= and L=, got {lines[0]!r}")
-    if fields["L"] != str(L):
-        raise ValueError(f"{path}: nibble addressing requires L={L}, got {lines[0]!r}")
-    try:
-        layout = WatermarkLayout(grid_dim=_decimal(fields["D"]), puf_dim=_decimal(fields["P"]))
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad layout in {lines[0]!r}: {exc}") from None
-    if len(lines) < 2:
-        raise ValueError(f"{path}: missing bit payload")
-    return Watermark(bits=hex_to_bits(lines[1], layout.total_bits), layout=layout)

@@ -52,13 +52,17 @@ class Fingerprint:
 
 @dataclass
 class EnrollmentRecord:
-    """Golden PUF data stored with the verifier for one chip."""
+    """Golden PUF data stored with the verifier for one chip; the
+    fingerprint is derived from the two maps."""
 
     chip_id: str
     rdcm_h: np.ndarray          # uint8 {0,1}, array_dim x array_dim
     rdcm_v: np.ndarray
-    fingerprint: Fingerprint
     enrollment_cfg: AcquisitionConfig
+
+    @property
+    def fingerprint(self) -> Fingerprint:
+        return fingerprint(self.rdcm_h, self.rdcm_v)
 
 
 def rdcm(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,8 +100,7 @@ def enroll(chip: ChipModel, cfg: AcquisitionConfig | None = None) -> EnrollmentR
     """Acquire a multi-frame dark map and derive the golden PUF record."""
     cfg = cfg or golden_acquisition(chip)
     h, v = rdcm(acquire_dcm(chip, cfg))
-    return EnrollmentRecord(chip_id=chip.chip_id, rdcm_h=h, rdcm_v=v,
-                            fingerprint=fingerprint(h, v), enrollment_cfg=cfg)
+    return EnrollmentRecord(chip_id=chip.chip_id, rdcm_h=h, rdcm_v=v, enrollment_cfg=cfg)
 
 
 def puf_query(record: EnrollmentRecord, challenge: np.ndarray) -> np.ndarray:
@@ -215,16 +218,17 @@ def _array_dim(value) -> int:
 
 def load_enrollment(path: str | Path, data: bytes | None = None) -> EnrollmentRecord:
     """Parse and check one record file (its bytes ``data`` if already read);
-    a malformed file or field raises ValueError naming the file (and the
-    field)."""
+    a malformed file or field, or a fingerprint that is not the XOR of the
+    maps, raises ValueError naming the file (and the field)."""
     field = json_record(path, data)
     dim = field("array_dim", _array_dim)
     chip_id = field("chip_id", str)
     h, v, fp = [field(key, lambda text: hex_to_bits(text, dim * dim).reshape(dim, dim))
                 for key in ("rdcm_h", "rdcm_v", "fingerprint")]
+    if not np.array_equal(fp, h ^ v):
+        raise ValueError(f"{path}: field 'fingerprint': not the XOR of rdcm_h and rdcm_v")
     cfg = field("acquisition", lambda acquisition: AcquisitionConfig(**acquisition))
-    return EnrollmentRecord(chip_id=chip_id, rdcm_h=h, rdcm_v=v,
-                            fingerprint=Fingerprint(bits=fp), enrollment_cfg=cfg)
+    return EnrollmentRecord(chip_id=chip_id, rdcm_h=h, rdcm_v=v, enrollment_cfg=cfg)
 
 
 def _scan_fields(data: bytes) -> Row | None:

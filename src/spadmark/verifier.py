@@ -102,7 +102,7 @@ def generate_watermark(img: np.ndarray, record: EnrollmentRecord,
     """Full generation pipeline: image content -> challenge -> responses ->
     serialized watermark with the record's fingerprint, of side P, appended."""
     cfg = cfg or FeatureConfig()
-    layout = WatermarkLayout(grid_dim=grid_dim, puf_dim=record.fingerprint.bits.shape[0])
+    layout = WatermarkLayout(grid_dim=grid_dim, puf_dim=record.rdcm_h.shape[0])
     challenge = image_challenge(img, cfg, grid_dim)
     response = puf_query(record, challenge)
     return assemble(challenge, response, record.fingerprint, layout)
@@ -237,10 +237,7 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     integer arithmetic (uint8 |x - y|, uint16 squares), no float copies.
 
     Both images are walked in strips of ``features.STRIP_PIXELS`` pixels,
-    and no temporary is larger than a strip. A strip that is equal in both
-    adds nothing to the squared error and is skipped after one comparison:
-    a marked host differs from its original in the first total_bits pixels
-    only, so most of a large host costs one compare.
+    and no temporary is larger than a strip.
     """
     x = _check_gray(a)
     y = _check_gray(b)
@@ -254,8 +251,6 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     for start in range(0, x.size, step):
         xs, ys = x[start:start + step], y[start:start + step]
         d = diff[:xs.size]
-        if np.equal(xs, ys, out=d.view(np.bool_)).all():
-            continue
         np.maximum(xs, ys, out=d)
         d -= np.minimum(xs, ys)
         sse += int(np.multiply(d, d, dtype=np.uint16).sum(dtype=np.uint64))

@@ -16,7 +16,8 @@ import pytest
 
 import spadmark
 from spadmark import (AUTHENTIC, AcquisitionConfig, FeatureConfig, embed_lsb, generate_watermark,
-                      load_enrollment, load_watermark, psnr, read_pgm, write_pgm)
+                      load_enrollment, load_enrollment_db, psnr, read_pgm, save_watermark,
+                      write_pgm)
 from spadmark.cli import build_parser, main
 from conftest import make_image, traced_peak_bytes
 
@@ -378,6 +379,13 @@ def _non_hex_rdcm_v(text: str) -> str:
     return text[:at] + "zz" + text[at + 2:]
 
 
+def _flipped_fingerprint(text: str) -> str:
+    """A record's text with the first hex digit of its fingerprint flipped:
+    the fingerprint is then not rdcm_h XOR rdcm_v."""
+    at = text.index('"fingerprint": "') + 16
+    return text[:at] + "%x" % (int(text[at], 16) ^ 8) + text[at + 1:]
+
+
 def _acquisition_edit(key: str, value: str):
     """Replace the default ``key`` of a golden record's acquisition with ``value``."""
     default = json.dumps(getattr(AcquisitionConfig, key))
@@ -389,7 +397,9 @@ def _acquisition_edit(key: str, value: str):
     ("acquisition", _acquisition_edit("exposure", "-1")),
     ("acquisition", _acquisition_edit("n_frames", "2.5")),
     ("acquisition", _acquisition_edit("n_frames", "true")),
-], ids=["non-hex-rdcm_v", "negative-exposure", "fractional-n_frames", "bool-n_frames"])
+    ("fingerprint", _flipped_fingerprint),
+], ids=["non-hex-rdcm_v", "negative-exposure", "fractional-n_frames", "bool-n_frames",
+        "fingerprint-not-xor"])
 def test_malformed_record_fails_only_its_own_chip(tmp_path, capsys, field, edit):
     # a record in save_enrollment's layout gives its row from its own lines;
     # a bad map or acquisition fails the verify that reads its maps only
@@ -410,6 +420,24 @@ def test_malformed_record_fails_only_its_own_chip(tmp_path, capsys, field, edit)
     assert main(["--db-dir", str(db), "verify", str(marked["chip2"])]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"wm: error: {bad}: field {field!r}: ")
+
+
+def test_compact_record_with_a_wrong_fingerprint_fails_at_load(tmp_path, capsys):
+    # a record not in save_enrollment's layout is parsed at every load, so
+    # its fingerprint is checked there, and any command that reads it fails
+    db = _setup_db(tmp_path, n_chips=2)
+    bad = db / "chip2.enroll.json"
+    bad.write_text(json.dumps(json.loads(_flipped_fingerprint(bad.read_text())),
+                              separators=(",", ":")))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: field 'fingerprint': "):
+        load_enrollment_db(db)
+    write_pgm(make_image(0), tmp_path / "scene.pgm")
+    capsys.readouterr()
+    assert main(["--db-dir", str(db), "mark", str(tmp_path / "scene.pgm"), "--chip", "chip2",
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"wm: error: {bad}: field 'fingerprint': ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -784,11 +812,13 @@ def test_consecutive_calls_parse_independently(tmp_path):
     assert main(mark + ["--overlap", "6", "--out-dir", str(tmp_path / "wide")]) == 0
     assert main(mark + ["--out-dir", str(tmp_path / "plain")]) == 0
     record = load_enrollment(db / "chip1.enroll.json")
-    wide = load_watermark(tmp_path / "wide" / "scene.wm.txt").bits
-    plain = load_watermark(tmp_path / "plain" / "scene.wm.txt").bits
-    assert np.array_equal(wide, generate_watermark(img, record, FeatureConfig(overlap=6)).bits)
-    assert np.array_equal(plain, generate_watermark(img, record).bits)
-    assert not np.array_equal(wide, plain)
+    wide = (tmp_path / "wide" / "scene.wm.txt").read_text()
+    plain = (tmp_path / "plain" / "scene.wm.txt").read_text()
+    expected = tmp_path / "expected.wm.txt"
+    assert wide == save_watermark(generate_watermark(img, record, FeatureConfig(overlap=6)),
+                                  expected).read_text()
+    assert plain == save_watermark(generate_watermark(img, record), expected).read_text()
+    assert wide != plain
 
 
 # SHA-256 of every file the workspace below holds after its commands ran.

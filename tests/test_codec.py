@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from spadmark import (PgmError, Watermark, WatermarkLayout,
                       assemble, disassemble, embed_lsb, extract_lsb,
-                      load_watermark, psnr, read_pgm, save_watermark, write_pgm)
+                      psnr, read_pgm, save_watermark, write_pgm)
 from spadmark.puf import Fingerprint
 from conftest import FUZZ, traced_peak_bytes
 
@@ -264,34 +264,7 @@ def test_sidecar_round_trip(tmp_path):
                    layout=layout)
     path = tmp_path / "x.wm.txt"
     save_watermark(wm, path)
-    first = path.read_text().splitlines()[0]
-    assert first == "wm v1 D=16 P=16 L=8"
-    loaded = load_watermark(path)
-    assert loaded.layout == layout
-    assert np.array_equal(loaded.bits, wm.bits)
-
-
-def test_sidecar_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("not a sidecar\n")
-    with pytest.raises(ValueError):
-        load_watermark(path)
-    path.write_text("wm v1 D=64 L=8\n00\n")
-    with pytest.raises(ValueError, match="D=, P= and L="):
-        load_watermark(path)
-    path.write_text("wm v1 D=64 P=64 L=4\n00\n")
-    with pytest.raises(ValueError, match="bad.txt: nibble addressing requires L=8"):
-        load_watermark(path)
-    path.write_text("wm v1 D=x P=64 L=8\n00\n")
-    with pytest.raises(ValueError, match="bad.txt: bad layout"):
-        load_watermark(path)
-    for header in ("D=+16 P=16", "D=1_6 P=16", "D=016 P=16", "D=16 P=+16", "D=16 P=0_16"):
-        path.write_text(f"wm v1 {header} L=8\n00\n")
-        with pytest.raises(ValueError, match="bad.txt: bad layout"):
-            load_watermark(path)
-    path.write_text("wm v1 D64 P=64 L=8\n00\n")
-    with pytest.raises(ValueError, match="bad.txt: header fields must be KEY=VALUE"):
-        load_watermark(path)
+    assert path.read_text() == "wm v1 D=16 P=16 L=8\n" + np.packbits(wm.bits).tobytes().hex() + "\n"
 
 
 _PGM_HEADERS = st.builds(
@@ -308,18 +281,3 @@ def test_read_pgm_returns_or_raises_pgm_error(tmp_path, raw):
     path.write_bytes(raw)
     with suppress(PgmError):
         read_pgm(path)
-
-
-_SIDECAR_FIELDS = st.lists(st.sampled_from(["D=1", "D=0", "P=2", "P=x", "L=8", "L=4", "D",
-                                            "=", "Q=1", "D=99999"]), max_size=5)
-
-
-@FUZZ
-@given(raw=st.binary(max_size=40) | st.builds(
-    lambda fields, payload: ("\n".join([" ".join(["wm v1", *fields]), *payload])).encode(),
-    _SIDECAR_FIELDS, st.lists(st.text("0123456789abcdefg ", max_size=12), max_size=2)))
-def test_load_watermark_returns_or_raises_value_error(tmp_path, raw):
-    path = tmp_path / "x.wm.txt"
-    path.write_bytes(raw)
-    with suppress(ValueError):
-        load_watermark(path)

@@ -28,7 +28,6 @@ def _record(h_bits, v_bits, chip_id="t"):
     h = np.asarray(h_bits, dtype=np.uint8)
     v = np.asarray(v_bits, dtype=np.uint8)
     return EnrollmentRecord(chip_id=chip_id, rdcm_h=h, rdcm_v=v,
-                            fingerprint=fingerprint(h, v),
                             enrollment_cfg=AcquisitionConfig(rng_seed=0))
 
 
@@ -181,7 +180,7 @@ def test_pack_unpack_round_trip(tmp_path, dim):
     rng = np.random.default_rng(dim)
     h = rng.integers(0, 2, (dim, dim), dtype=np.uint8)
     v = rng.integers(0, 2, (dim, dim), dtype=np.uint8)
-    record = EnrollmentRecord(chip_id="c", rdcm_h=h, rdcm_v=v, fingerprint=fingerprint(h, v),
+    record = EnrollmentRecord(chip_id="c", rdcm_h=h, rdcm_v=v,
                               enrollment_cfg=AcquisitionConfig(rng_seed=3))
     path = save_enrollment(record, tmp_path)
     saved = json.loads(path.read_bytes())
@@ -417,13 +416,14 @@ def _edit(db_dir, edit, serial):
     elif os.path.isdir(old):
         if op == "delete":
             os.rmdir(old)
-    elif op == "rewrite":     # same size: flip the first fingerprint bit
+    elif op == "rewrite":     # same size: flip the first bit of rdcm_h and of the fingerprint
         with open(old, "rb") as f:
             data = bytearray(f.read())
-        at = data.find(b'"fingerprint":')
-        at = data.find(b'"', at + 14) + 1 if at >= 0 else 0
-        if 0 < at < len(data) and chr(data[at]) in "0123456789abcdef":
-            data[at] = ord("0123456789abcdef"[int(chr(data[at]), 16) ^ 8])
+        ats = [data.find(b'"', at + len(key)) + 1 if (at := data.find(key)) >= 0 else 0
+               for key in (b'"rdcm_h":', b'"fingerprint":')]
+        if all(0 < at < len(data) and chr(data[at]) in "0123456789abcdef" for at in ats):
+            for at in ats:
+                data[at] = ord("0123456789abcdef"[int(chr(data[at]), 16) ^ 8])
             with open(old, "wb") as f:
                 f.write(data)
     elif op == "rename":
@@ -542,7 +542,11 @@ def test_planted_digest_of_a_misread_record(tmp_path, data):
     # older version's index, which that version trusted, changes nothing.
     path = tmp_path / "c.enroll.json"
     path.write_bytes(data)
-    _load_enrollment(path)
+    if json.loads(data)["fingerprint"] == _OTHER_HEX:      # not rdcm_h XOR rdcm_v
+        with pytest.raises(ValueError, match=f"^{path}: field 'fingerprint': "):
+            _load_enrollment(path)
+    else:
+        _load_enrollment(path)
     assert puf._scan_fields(data) is None
     (tmp_path / INDEX).write_bytes(hashlib.sha256(data).digest())
     assert _outcome(_loaded, tmp_path) == _outcome(_full_parse, tmp_path)

@@ -303,11 +303,10 @@ def test_identify_source_equals_reference_loop(tmp_path_factory, chip_ids, dims,
     for i, chip_id in enumerate(chip_ids):
         d = dims[i % len(dims)]
         fp = near(d)
-        maps = {key: stored_hex(rng.integers(0, 2, (d, d), dtype=np.uint8))
-                for key in ("rdcm_h", "rdcm_v")}
+        h = rng.integers(0, 2, (d, d), dtype=np.uint8)
         (db_dir / f"{i}.enroll.json").write_text(json.dumps(
             {"chip_id": chip_id, "array_dim": d, "acquisition": {},
-             "fingerprint": stored_hex(fp), **maps}))
+             "fingerprint": stored_hex(fp), "rdcm_h": stored_hex(h), "rdcm_v": stored_hex(h ^ fp)}))
         rows.append((chip_id, fp))
     rows.sort(key=lambda row: row[0])
     db = load_enrollment_db(db_dir)
@@ -352,7 +351,7 @@ def test_verify_tie_across_sides_goes_to_the_smaller_side(tmp_path, records, hos
     # fingerprint: a 32-side record of those bits is as near as chip1 itself
     head = records[0].fingerprint.bits.reshape(-1)[:32 * 32].reshape(32, 32)
     save_enrollment(records[0], tmp_path)
-    save_enrollment(EnrollmentRecord("z32", head, np.zeros_like(head), Fingerprint(head),
+    save_enrollment(EnrollmentRecord("z32", head, np.zeros_like(head),
                                      records[0].enrollment_cfg), tmp_path)
     marked = embed_lsb(host_images[0], generate_watermark(host_images[0], records[0]))
     report = verify(marked, load_enrollment_db(tmp_path))
