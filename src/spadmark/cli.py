@@ -201,18 +201,39 @@ def cmd_experiment_source_id(args) -> int:
     return EXIT_OK
 
 
+def _patch_corner(args, image_path: str, shape: tuple[int, int]) -> tuple[int, int]:
+    """The top-left pixel of the ``--patch-size`` patch in an image of
+    ``shape``: ``--patch-row`` and ``--patch-col``, by default the centre.
+    A patch that does not fit the image is rejected, so tamper.csv states
+    the region edited."""
+    row = shape[0] // 2 if args.patch_row is None else args.patch_row
+    col = shape[1] // 2 if args.patch_col is None else args.patch_col
+    if row + args.patch_size > shape[0] or col + args.patch_size > shape[1]:
+        raise CliError(f"{image_path}: a {args.patch_size}x{args.patch_size} patch at row {row}, "
+                       f"column {col} does not fit the {shape[0]}x{shape[1]} image")
+    return row, col
+
+
 def cmd_experiment_tamper(args) -> int:
+    # a larger |delta| clips to the same edit as 255
+    if not -255 <= args.delta <= 255:
+        raise CliError(f"--delta must be in [-255, 255], got {args.delta}")
+    if args.patch_size < 1:
+        raise CliError(f"--patch-size must be >= 1, got {args.patch_size}")
+    for flag, value in (("--patch-row", args.patch_row), ("--patch-col", args.patch_col)):
+        if value is not None and value < 0:
+            raise CliError(f"{flag} must be >= 0, got {value}")
     record = _chip_record(args)
     features = FeatureConfig(overlap=args.overlap)
     out_dir = Path(args.out_dir)
     rows = []
+    outputs = {}    # written once every image is done: an error leaves no file
     for image_path in args.images:
         img = read_pgm(image_path)
+        row, col = _patch_corner(args, image_path, img.shape)
         stem = Path(image_path).stem
         reference = generate_watermark(img, record, features, args.grid_dim)
 
-        row = args.patch_row if args.patch_row is not None else img.shape[0] // 2
-        col = args.patch_col if args.patch_col is not None else img.shape[1] // 2
         size = args.patch_size
         edited = img.copy()
         patch = edited[row:row + size, col:col + size].astype(np.int32)
@@ -226,11 +247,13 @@ def cmd_experiment_tamper(args) -> int:
         rows.append(f"{stem},{row},{col},{size},{args.delta},"
                     f"{img_change:.6f},{wm_change:.6f},{s:.6f}")
 
-        write_pgm(edited, out_dir / f"{stem}.edited.pgm")
         diff = Watermark(bits=np.bitwise_xor(reference.bits, probe.bits), layout=reference.layout)
-        write_pgm(watermark_bitmap(diff), out_dir / f"{stem}.wmdiff.pgm")
+        outputs[out_dir / f"{stem}.edited.pgm"] = edited
+        outputs[out_dir / f"{stem}.wmdiff.pgm"] = watermark_bitmap(diff)
         print(f"{stem}: image change {img_change:.4%}, watermark change {wm_change:.4%}, "
               f"sensitivity {s:.3f}")
+    for path, pixels in outputs.items():
+        write_pgm(pixels, path)
     _write_csv(out_dir / "tamper.csv",
                "image,patch_row,patch_col,patch_size,delta,"
                "img_change_frac,wm_change_frac,sensitivity", rows)

@@ -23,10 +23,16 @@ from pathlib import Path
 import numpy as np
 
 # The most dark counts a pixel may expect: numpy's Poisson limit (int64 max
-# less ten standard deviations), so a draw, and a count map of int64 sums,
-# cannot overflow. Rates are counts/s; at most this many keep a one-second
-# frame drawable.
+# less ten standard deviations), so the one draw of a count map cannot
+# overflow. Rates are counts/s; at most this many keep a one-second frame
+# drawable.
 MAX_COUNTS = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
+# The least map side: a challenge byte addresses a 16x16 window (high
+# nibble row, low nibble column), and a smaller map cannot answer every
+# challenge. The largest keeps new_chip's float64 fields to tens of MB.
+MIN_ARRAY_DIM = 16
+MAX_ARRAY_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,10 @@ class ChipParams:
         for name, value in asdict(self).items():
             if not isinstance(value, Real) or not -math.inf < value < math.inf:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if not isinstance(self.array_dim, Integral) or self.array_dim < 2:
-            raise ValueError(f"array_dim must be an integer >= 2, got {self.array_dim}")
+        if (not isinstance(self.array_dim, Integral)
+                or not MIN_ARRAY_DIM <= self.array_dim <= MAX_ARRAY_DIM):
+            raise ValueError(f"array_dim must be an integer from MIN_ARRAY_DIM {MIN_ARRAY_DIM} "
+                             f"to MAX_ARRAY_DIM {MAX_ARRAY_DIM}, got {self.array_dim}")
         if self.dcr_median <= 0:
             raise ValueError(f"dcr_median must be > 0, got {self.dcr_median}")
         if self.dcr_sigma < 0:

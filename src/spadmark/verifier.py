@@ -28,7 +28,7 @@ import numpy as np
 from . import features
 from .codec import Watermark, WatermarkLayout, assemble, disassemble, extract_lsb
 from .features import FeatureConfig, challenge_matrix, downsample, _check_gray
-from .imager import chip_seed
+from .imager import MIN_ARRAY_DIM, chip_seed
 from .puf import EnrollmentDB, EnrollmentRecord, Fingerprint, puf_query
 
 AUTHENTIC = "authentic"
@@ -145,16 +145,19 @@ def verify(img: np.ndarray, db: EnrollmentDB,
     authentic otherwise. ``tamper_cells`` lists every challenge-grid cell
     whose recomputed address differs from the embedded one; the response
     match is 0.0 when no source was identified. The map side P comes from
-    ``db``: the fingerprint block is read at each enrolled side whose payload
-    fits the image, or at the default side if none does, and the nearest
-    match over all sides, a tie to the smaller side, names the source.
+    ``db``: the fingerprint block is read at each enrolled side of at least
+    ``imager.MIN_ARRAY_DIM`` whose payload fits the image, or at the default
+    side if none does, and the nearest match over all sides, a tie to the
+    smaller side, names the source.
     """
     cfg = cfg or FeatureConfig()
     thresholds = thresholds or Thresholds()
 
     # the enrolled sides, ascending, by bincount: np.unique takes 8x as long
-    # and 1.5 MB more peak memory. A side under 2 has no layout.
-    sides = [side for side in np.flatnonzero(np.bincount(db.dims)).tolist() if side >= 2]
+    # and 1.5 MB more peak memory. A side under MIN_ARRAY_DIM cannot answer
+    # every challenge, so no such record is named.
+    sides = [side for side in np.flatnonzero(np.bincount(db.dims)).tolist()
+             if side >= MIN_ARRAY_DIM]
     layouts = [layout for layout in (WatermarkLayout(grid_dim, side) for side in sides)
                if layout.total_bits <= np.size(img)] or [WatermarkLayout(grid_dim)]
     embedded = extract_lsb(img, layouts[-1]).bits   # each side's payload is a prefix of it

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -7,17 +8,20 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import spadmark
-from spadmark import (AUTHENTIC, AcquisitionConfig, FeatureConfig, embed_lsb, generate_watermark,
-                      load_enrollment, load_enrollment_db, psnr, read_pgm, save_watermark,
-                      write_pgm)
+from spadmark import (AUTHENTIC, AcquisitionConfig, ChipParams, FeatureConfig, embed_lsb, enroll,
+                      generate_watermark, golden_acquisition, load_enrollment,
+                      load_enrollment_db, new_chip, psnr, read_pgm, save_enrollment,
+                      save_watermark, write_pgm)
 from spadmark.cli import build_parser, main
 from conftest import make_image, traced_peak_bytes
 
@@ -54,6 +58,49 @@ def test_chip_new_invalid_params(tmp_path):
     db = tmp_path / "db"
     assert main(["--db-dir", str(db), "chip", "new", "bad", "--seed", "1",
                  "--dcr-median", "-5"]) == 1
+
+
+@pytest.mark.parametrize("dim, bound", [("2", "MIN_ARRAY_DIM 16"), ("8", "MIN_ARRAY_DIM 16"),
+                                        ("1025", "MAX_ARRAY_DIM 1024")])
+def test_chip_new_rejects_array_dim_out_of_bounds(tmp_path, capsys, dim, bound):
+    # a side under 16 cannot answer every challenge address, so it could mark nothing
+    db = tmp_path / "db"
+    assert main(["--db-dir", str(db), "chip", "new", "tiny", "--seed", "1",
+                 "--array-dim", dim]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("wm: error: array_dim must be an integer")
+    assert bound in err[0] and not db.exists()
+
+
+def _small_side_params(side: int) -> ChipParams:
+    """ChipParams of a side under MIN_ARRAY_DIM, which ChipParams rejects:
+    older versions made such chips, and their records may still sit in a
+    database."""
+    params = ChipParams()
+    object.__setattr__(params, "array_dim", side)
+    return params
+
+
+def test_verify_never_names_a_small_side_record(tmp_path, capsys):
+    # 20 records of side 4 beside one of side 64. A foreign image's payload,
+    # read at side 4, can fall near one of them; a side-4 source cannot
+    # answer the challenge, and verify exited 1 where 3 is due.
+    db = tmp_path / "db"
+    big = new_chip("big", 11)
+    save_enrollment(enroll(big, golden_acquisition(big, 42)), db)
+    for i in range(20):
+        chip = new_chip(f"s4_{i}", 5000 + i, _small_side_params(4))
+        save_enrollment(enroll(chip, golden_acquisition(chip, 300 + i)), db)
+    codes = []
+    for k in range(30):
+        ghost = new_chip("ghost", 9000 + k)
+        img = make_image(700 + k)
+        wm = generate_watermark(img, enroll(ghost, golden_acquisition(ghost, 1)))
+        path = write_pgm(embed_lsb(img, wm), tmp_path / f"foreign{k}.pgm")
+        codes.append(main(["--db-dir", str(db), "verify", str(path),
+                           "--out-dir", str(tmp_path / "out")]))
+    assert codes == [3] * 30
+    assert capsys.readouterr().err == ""
 
 
 def test_enroll_requires_chip(tmp_path):
@@ -1015,6 +1062,51 @@ def test_experiment_tamper(tmp_path):
     assert (out / "img0.wmdiff.pgm").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--delta", "3000000000"], "--delta must be in [-255, 255], got 3000000000"),
+    (["--delta", "-256"], "--delta must be in [-255, 255], got -256"),
+    (["--patch-row", "-100"], "--patch-row must be >= 0, got -100"),
+    (["--patch-col", "-1"], "--patch-col must be >= 0, got -1"),
+    (["--patch-size", "-4"], "--patch-size must be >= 1, got -4"),
+    (["--patch-size", "0"], "--patch-size must be >= 1, got 0"),
+    (["--patch-row", "240", "--patch-size", "32"],
+     "small.pgm: a 32x32 patch at row 240, column 128 does not fit the 256x256 image"),
+    (["--patch-size", "129"],
+     "small.pgm: a 129x129 patch at row 128, column 128 does not fit the 256x256 image"),
+    (["--grid-dim", "512"], "image 256x256 not divisible into a 512x512 grid"),
+], ids=["huge-delta", "delta-below-range", "negative-row", "negative-col", "negative-size",
+        "zero-size", "row-past-edge", "centred-too-large", "grid-of-later-image"])
+def test_experiment_tamper_rejects_numbers_it_cannot_honour(tmp_path, capsys, flags, message):
+    # every image is checked before anything is written: here the second
+    # image is the one a patch does not fit
+    db = _setup_db(tmp_path, n_chips=1)
+    write_pgm(make_image(0), tmp_path / "scene.pgm")
+    write_pgm(make_image(1, size=256), tmp_path / "small.pgm")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["--db-dir", str(db), "experiment", "tamper", "--chip", "chip1",
+                 "--images", str(tmp_path / "scene.pgm"), str(tmp_path / "small.pgm"),
+                 *flags, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("wm: error: ") and err[0].endswith(message)
+    assert not out.exists()
+
+
+def test_experiment_tamper_patch_at_the_edge(tmp_path):
+    # the largest row and column that fit: the patch ends at the last pixel
+    db = _setup_db(tmp_path, n_chips=1)
+    write_pgm(make_image(0), tmp_path / "scene.pgm")
+    out = tmp_path / "out"
+    assert main(["--db-dir", str(db), "experiment", "tamper", "--chip", "chip1",
+                 "--images", str(tmp_path / "scene.pgm"), "--patch-size", "32",
+                 "--patch-row", "480", "--patch-col", "480", "--delta", "-255",
+                 "--out-dir", str(out)]) == 0
+    assert (out / "tamper.csv").read_text().splitlines()[1].startswith("scene,480,480,32,-255,")
+    edited = read_pgm(out / "scene.edited.pgm")
+    changed = np.argwhere(edited != make_image(0))
+    assert changed.min(axis=0).tolist() >= [480, 480] and changed.max(axis=0).tolist() == [511, 511]
+
+
 def test_experiment_robustness_monotone(tmp_path):
     db = _setup_db(tmp_path, n_chips=1)
     out = tmp_path / "out"
@@ -1033,3 +1125,76 @@ def test_experiment_robustness_monotone(tmp_path):
         assert table[(sigma, 0.0)] >= table[(sigma, 6.0)] >= table[(sigma, 12.0)]
     for overlap in (0.0, 6.0, 12.0):
         assert table[(6.0, overlap)] <= table[(18.0, overlap)] <= table[(54.0, overlap)]
+
+
+# --- every argv gets an exit code and at most a one-line reason ---------------
+
+_EXTREMES = ("0", "-1", str(2 ** 31), str(2 ** 63), str(10 ** 20), "nan", "inf", "1e308")
+_FEATURE_FLAGS = {"--overlap": ("6", "12.5"), "--grid-dim": ("32", "64")}
+# Each subcommand's fixed arguments (".pgm" names are fixture files), and
+# each numeric flag with ordinary values of it.
+_NUMERIC_FLAGS = {
+    ("chip", "new", "c9"): {
+        "--seed": ("7",), "--array-dim": ("16", "32"), "--dcr-median": ("100",),
+        "--dcr-sigma": ("0.5",), "--doubling-temp": ("8",), "--doubling-temp-jitter": ("0.2",),
+        "--ref-temp": ("25",)},
+    ("chip", "enroll", "chip1"): {
+        "--temperature": ("25", "80"), "--exposure": ("0.4",), "--frames": ("1", "100"),
+        "--seed": ("42",)},
+    ("mark", "scene.pgm", "--chip", "chip1"): _FEATURE_FLAGS,
+    ("verify", "marked.pgm"): {
+        "--tau-fingerprint": ("0.25",), "--tau-challenge": ("0.01",), "--tau-response": ("0.05",),
+        **_FEATURE_FLAGS},
+    ("experiment", "source-id", "--images", "scene.pgm", "marked.pgm", "scene.pgm"):
+        _FEATURE_FLAGS,
+    ("experiment", "tamper", "--chip", "chip1", "--images", "scene.pgm"): {
+        "--patch-size": ("8", "48"), "--patch-row": ("0", "200"), "--patch-col": ("0", "200"),
+        "--delta": ("32", "-255"), **_FEATURE_FLAGS},
+    ("experiment", "robustness", "--chip", "chip1", "--image", "scene.pgm"): {
+        "--sigmas": ("6", "0,18"), "--overlaps": ("0,6",), "--noise-seeds": ("101",),
+        "--grid-dim": ("32", "64")},
+}
+
+
+@pytest.fixture(scope="module")
+def argv_workspace(tmp_path_factory):
+    """Three enrolled chips, a 256^2 scene and the scene marked by chip1."""
+    base = tmp_path_factory.mktemp("argv")
+    db = base / "db"
+    for i in (1, 2, 3):
+        chip = new_chip(f"chip{i}", i)
+        save_enrollment(enroll(chip, golden_acquisition(chip, 100 + i)), db)
+    img = make_image(0, size=256)
+    write_pgm(img, base / "scene.pgm")
+    wm = generate_watermark(img, load_enrollment(db / "chip1.enroll.json"))
+    write_pgm(embed_lsb(img, wm), base / "marked.pgm")
+    return base
+
+
+@pytest.mark.parametrize("command", list(_NUMERIC_FLAGS), ids=lambda command: " ".join(
+    arg for arg in command[:2] if not arg.endswith(".pgm")))
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_numeric_argv_gets_an_exit_code(argv_workspace, command, data):
+    # no exception escapes main, and an error is one line: each numeric flag
+    # is left out, ordinary, or one of the extreme values
+    flags = data.draw(st.fixed_dictionaries({}, optional={
+        flag: st.sampled_from(_EXTREMES) | st.sampled_from(ordinary)
+        for flag, ordinary in _NUMERIC_FLAGS[command].items()}))
+    with tempfile.TemporaryDirectory(dir=argv_workspace) as work:
+        db = shutil.copytree(argv_workspace / "db", Path(work) / "db")
+        argv = ["--db-dir", str(db),
+                *(str(argv_workspace / arg) if arg.endswith(".pgm") else arg for arg in command),
+                *(f"{flag}={value}" for flag, value in flags.items())]
+        if command[0] != "chip":
+            argv += ["--out-dir", str(Path(work) / "out")]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    err = stderr.getvalue().splitlines()
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert len(err) == 1 and err[0].startswith("wm: error: ")
+    else:
+        assert err == []

@@ -11,6 +11,7 @@ from hypothesis import given
 
 from spadmark import (AcquisitionConfig, ChipParams, acquire_dcm, dcr_map,
                       load_chip, new_chip, save_chip)
+from spadmark import imager
 from spadmark.imager import read_bytes, save_json_record
 from conftest import FUZZ, fuzzed_json
 
@@ -32,6 +33,17 @@ def test_params_validation():
         ChipParams(array_dim=2.5)
     with pytest.raises(ValueError):
         ChipParams(ref_temp="hot")
+
+
+@pytest.mark.parametrize("dim, bound", [(2, "MIN_ARRAY_DIM 16"), (15, "MIN_ARRAY_DIM 16"),
+                                        (1025, "MAX_ARRAY_DIM 1024"),
+                                        (200000, "MAX_ARRAY_DIM 1024")])
+def test_array_dim_bounds(dim, bound):
+    # checked on the parameters alone: no field of a rejected side is made
+    with pytest.raises(ValueError, match=bound):
+        ChipParams(array_dim=dim)
+    assert ChipParams(array_dim=imager.MIN_ARRAY_DIM).array_dim == 16
+    assert ChipParams(array_dim=imager.MAX_ARRAY_DIM).array_dim == 1024
 
 
 def test_acquisition_validation():
@@ -215,7 +227,7 @@ def test_chip_json_round_trip(tmp_path):
 
 
 @FUZZ
-@given(raw=fuzzed_json({"chip_id": "c", "seed": 1, "params": asdict(ChipParams(array_dim=4))}))
+@given(raw=fuzzed_json({"chip_id": "c", "seed": 1, "params": asdict(ChipParams(array_dim=16))}))
 def test_load_chip_returns_or_raises_value_error(tmp_path, raw):
     path = tmp_path / "c.chip.json"
     path.write_bytes(raw)
